@@ -15,6 +15,7 @@ one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -80,34 +81,38 @@ def _add_holder(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Abbreviated flags are refused: _apply_config tells given flags from
+    # file defaults by their literal --name.
     parser = argparse.ArgumentParser(
         prog="qfmax",
         description="Benchmarks for quantum maximum finding over smoothness classes.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("qsearch-bench", help="query scaling of the amplified search")
+    p = add_parser("qsearch-bench", help="query scaling of the amplified search")
     _add_common(p)
     p.add_argument("--n", type=_int_list, default=[2**k for k in range(4, 13)])
 
-    p = sub.add_parser("maxfind-bench", help="success rate of sequence maximum finding")
+    p = add_parser("maxfind-bench", help="success rate of sequence maximum finding")
     _add_common(p)
     p.add_argument("--n", type=_int_list, default=[16, 64, 256, 1024])
 
-    p = sub.add_parser("holder-max", help="maximize one function instance and print the result")
+    p = add_parser("holder-max", help="maximize one function instance and print the result")
     _add_common(p)
     _add_holder(p)
     p.add_argument("--n", type=int, default=None, help="subdivisions per axis")
     p.add_argument("--eps", type=float, default=None, help="target accuracy")
 
-    p = sub.add_parser("scaling", help="scaling-law experiments over n or epsilon")
+    p = add_parser("scaling", help="scaling-law experiments over n or epsilon")
     _add_common(p)
     _add_holder(p)
     p.add_argument("--kind", choices=sorted(_SCALING_KINDS), required=True)
     p.add_argument("--n", type=_int_list, default=[4, 8, 16, 32, 64])
     p.add_argument("--eps", type=_float_list, default=[0.2, 0.1, 0.05, 0.02, 0.01])
 
-    p = sub.add_parser("lowerbound-demo", help="OR-of-bits decision via the maximizer")
+    p = add_parser("lowerbound-demo", help="OR-of-bits decision via the maximizer")
     _add_common(p)
     _add_holder(p)
     p.add_argument("--n", type=_int_list, default=[64], help="bit counts")
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--patterns", default="zeros,one,random", help="comma list: zeros, one, random, ones"
     )
 
-    sub.add_parser("list-functions", help="list available test function families")
+    add_parser("list-functions", help="list available test function families")
     return parser
 
 
@@ -270,7 +275,7 @@ def main(argv=None) -> int:
         if args.command == "lowerbound-demo":
             return _run_spec(args, "or-reduction")
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"qfmax: error: {exc}", file=sys.stderr)
         return 2
 

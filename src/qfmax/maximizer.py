@@ -27,14 +27,13 @@ from .holder import (
     Grid,
     HolderFunction,
     TaylorModel,
+    _poly_at_offsets,
     build_grid,
-    coefficient_count,
     multi_indices,
-    taylor_model,
     taylor_tableau,
 )
-from .qcore import MarkPredicate, QueryLedger
-from .search import MaxResult, SearchParams, _boosted_climb
+from .qcore import QueryLedger
+from .search import MaxResult, SearchParams, _Accessor, _boosted_climb
 
 __all__ = [
     "MaximizerParams",
@@ -163,17 +162,6 @@ def _quad_box_max_2d(C, lx, ux, ly, uy):
     return np.where(ok, np.maximum(best, v), best)
 
 
-def _poly_eval(alphas, coeffs, offs):
-    acc = np.zeros(offs.shape[0])
-    for alpha, c in zip(alphas, coeffs):
-        term = np.full(offs.shape[0], float(c))
-        for k, a in enumerate(alpha):
-            if a:
-                term = term * offs[:, k] ** a
-        acc += term
-    return acc
-
-
 def _poly_partial(alphas, coeffs, k):
     out_a, out_c = [], []
     for alpha, c in zip(alphas, coeffs):
@@ -215,7 +203,7 @@ def _branch_bound_max(model: TaylorModel, lo, hi, eps1: float, max_nodes: int = 
 
     def box_bounds(lo_off, hi_off):
         mid = 0.5 * (lo_off + hi_off)
-        val = float(_poly_eval(alphas, coeffs, mid[None, :])[0])
+        val = float(_poly_at_offsets(alphas, coeffs, mid[None, :])[0])
         slack = 0.0
         for k in range(d):
             pa, pc = partials[k]
@@ -260,6 +248,41 @@ def _replace(arr, axis, value):
     return out
 
 
+def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray:
+    """Certified max of each row's Taylor model over its box, within eps1.
+
+    Row i is the model with coefficients coeffs[i] (ordered like alphas)
+    around centers[i], maximized over centers[i] + [lo_off[i], hi_off[i]].
+    Canonically ordered models (multi_indices) of degree <= 1, or of
+    degree 2 in d <= 2, use the closed forms; every other row runs
+    branch-and-bound.
+    """
+    if not eps1 > 0.0:
+        raise ValueError("eps1 must be positive")
+    d = lo_off.shape[1]
+    deg = sum(alphas[-1])  # the degree, if alphas is in canonical order
+    if alphas == multi_indices(d, deg):
+        if deg == 0:
+            return coeffs[:, 0].copy()
+        if deg == 1:
+            # order-1 indices are sorted, so column 1 + k belongs to axis d-1-k
+            return _linear_box_max(
+                coeffs[:, 0], coeffs[:, 1:], lo_off[:, ::-1], hi_off[:, ::-1]
+            )
+        if deg == 2 and d == 1:
+            c0, c1, c2 = coeffs.T
+            return _quad_box_max_1d(c0, c1, c2, lo_off[:, 0], hi_off[:, 0])
+        if deg == 2 and d == 2:
+            return _quad_box_max_2d(
+                list(coeffs.T), lo_off[:, 0], hi_off[:, 0], lo_off[:, 1], hi_off[:, 1]
+            )
+    out = np.empty(coeffs.shape[0])
+    for i in range(out.size):
+        model = TaylorModel(center=centers[i], alphas=alphas, coeffs=coeffs[i])
+        out[i] = _branch_bound_max(model, centers[i] + lo_off[i], centers[i] + hi_off[i], eps1)
+    return out
+
+
 def local_max_taylor(model: TaylorModel, lo, hi, eps1: float) -> float:
     """Max of one Taylor model over a box, certified within eps1.
 
@@ -267,49 +290,14 @@ def local_max_taylor(model: TaylorModel, lo, hi, eps1: float) -> float:
     one or two dimensions; otherwise certified branch-and-bound.  Never
     touches the modelled function, only the stored coefficients.
     """
-    if eps1 <= 0.0:
-        raise ValueError("eps1 must be positive")
     d = model.center.size
-    lo_off = np.asarray(lo, dtype=float).reshape(d) - model.center
-    hi_off = np.asarray(hi, dtype=float).reshape(d) - model.center
+    lo_off = np.asarray(lo, dtype=float).reshape(1, d) - model.center
+    hi_off = np.asarray(hi, dtype=float).reshape(1, d) - model.center
     if np.any(hi_off < lo_off):
         raise ValueError("box must satisfy lo <= hi")
-    deg = model.degree
-    coeffs = model.coeffs
-    if deg == 0:
-        return float(coeffs[0])
-    if deg == 1:
-        c0 = float(coeffs[0])
-        grads = np.array([model.coeff(_unit(d, k)) for k in range(d)])
-        return float(_linear_box_max(c0, grads, lo_off, hi_off))
-    if deg == 2 and d == 1:
-        return float(
-            _quad_box_max_1d(
-                np.array([coeffs[0]]),
-                np.array([coeffs[1]]),
-                np.array([coeffs[2]]),
-                np.array([lo_off[0]]),
-                np.array([hi_off[0]]),
-            )[0]
-        )
-    if deg == 2 and d == 2:
-        C = [np.array([c]) for c in coeffs]
-        return float(
-            _quad_box_max_2d(
-                C,
-                np.array([lo_off[0]]),
-                np.array([hi_off[0]]),
-                np.array([lo_off[1]]),
-                np.array([hi_off[1]]),
-            )[0]
-        )
-    return float(_branch_bound_max(model, lo, hi, eps1))
-
-
-def _unit(d, k):
-    alpha = [0] * d
-    alpha[k] = 1
-    return tuple(alpha)
+    return float(
+        _box_max(model.alphas, model.coeffs[None], model.center[None], lo_off, hi_off, eps1)[0]
+    )
 
 
 def local_max_at(
@@ -326,28 +314,8 @@ def local_max_at(
     coefficient_count(d, r) evaluations per center.
     """
     alphas, coeffs = taylor_tableau(f, centers, ledger)
-    d, r = f.d, f.r
-    n_pts = coeffs.shape[0]
-    if r == 0:
-        return coeffs[:, 0].copy()
-    if r == 1:
-        lo = np.full((n_pts, d), -half_width)
-        hi = np.full((n_pts, d), half_width)
-        return _linear_box_max(coeffs[:, 0], coeffs[:, 1:], lo, hi)
-    if r == 2 and d == 1:
-        lo = np.full(n_pts, -half_width)
-        hi = np.full(n_pts, half_width)
-        return _quad_box_max_1d(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], lo, hi)
-    if r == 2 and d == 2:
-        lo = np.full(n_pts, -half_width)
-        hi = np.full(n_pts, half_width)
-        C = [coeffs[:, j] for j in range(6)]
-        return _quad_box_max_2d(C, lo, hi, lo, hi)
-    out = np.empty(n_pts)
-    for i in range(n_pts):
-        model = TaylorModel(center=centers[i], alphas=alphas, coeffs=coeffs[i])
-        out[i] = _branch_bound_max(model, centers[i] - half_width, centers[i] + half_width, eps1)
-    return out
+    hi_off = np.full((coeffs.shape[0], f.d), half_width)
+    return _box_max(alphas, coeffs, centers, -hi_off, hi_off, eps1)
 
 
 def local_max_values(
@@ -402,45 +370,6 @@ class _LocalMaxTable:
         return self._vals
 
 
-class _LazyAccessor:
-    """Threshold-climb adapter over the lazy table, affinely rescaled.
-
-    Comparisons use values mapped into [0, 1] by v -> (v + B) / (2B) with
-    B = sup_bound + model-error slack + eps1, a strictly increasing map,
-    so thresholds behave exactly as on the raw values.
-    """
-
-    def __init__(self, table: _LocalMaxTable, shift: float, span: float):
-        self.table = table
-        self.shift = shift
-        self.span = span
-
-    @property
-    def n(self) -> int:
-        return self.table.grid.N
-
-    @property
-    def ledger(self) -> QueryLedger:
-        return self.table.ledger
-
-    def _scaled(self, v):
-        return (v + self.shift) / self.span
-
-    def value(self, i: int) -> float:
-        self.ledger.classical_queries += 1
-        return self._scaled(self.table.value(i))
-
-    def predicate(self, threshold: float, mode: int) -> MarkPredicate:
-        tab = self.table
-        if mode > 0:
-            marks = lambda i, t=threshold: self._scaled(tab.value(int(i))) > t
-            provider = lambda t=threshold: self._scaled(tab.values()) > t
-        else:
-            marks = lambda i, t=threshold: self._scaled(tab.value(int(i))) < t
-            provider = lambda t=threshold: self._scaled(tab.values()) < t
-        return MarkPredicate(self.n, marks, self.ledger, mask_provider=provider)
-
-
 def quantum_maximize(
     f: HolderFunction,
     params: MaximizerParams,
@@ -465,11 +394,20 @@ def quantum_maximize(
     h_conf = params.h_conf if params.h_conf is not None else default_h_conf(f.d, f.r)
     ledger = QueryLedger()
     table = _LocalMaxTable(f, grid, eps1, ledger)
+    # Comparisons use values mapped into [0, 1] by v -> (v + B) / (2B) with
+    # B = sup_bound + model-error slack + eps1, a strictly increasing map,
+    # so thresholds behave exactly as on the raw values.
     slack = eps1 + h_conf * max(1.0, f.seminorm_bound) * grid.h ** (f.r + f.rho)
     bound = f.sup_bound + slack
-    acc = _LazyAccessor(table, shift=bound, span=2.0 * bound)
+    span = 2.0 * bound
+    acc = _Accessor(
+        grid.N,
+        ledger,
+        lambda i: (table.value(i) + bound) / span,
+        lambda: (table.values() + bound) / span,
+    )
     budget = math.ceil(params.search.budget_factor * math.sqrt(grid.N))
-    idx, _, success = _boosted_climb(acc, rng, params.search, budget, +1)
+    idx, _, success = _boosted_climb(acc, rng, params.search, budget)
     value = table.value(idx)
     return MaxResult(
         value=value,

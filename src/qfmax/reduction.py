@@ -4,10 +4,10 @@ Each bit owns one cell of the unit cube; set bits contribute a disjointly
 supported smooth bump of height epsilon1.  The resulting function is a
 class member whose maximum is exactly epsilon1 when any bit is set and 0
 otherwise, so any maximizer with accuracy epsilon1 / 4 decides OR: answer
-1 when the estimate lands in [3/4 eps1, 5/4 eps1], 0 when it lands in
-[-1/4 eps1, 1/4 eps1], and 0 for anything else.  Since OR of n bits costs
-on the order of sqrt(n) quantum queries at best, maximization to accuracy
-epsilon inherits the matching lower bound.
+1 when the estimate lands in [3/4 eps1, 5/4 eps1] and 0 otherwise (an
+accurate estimate for all-zero bits lands in [-1/4 eps1, 1/4 eps1]).
+Since OR of n bits costs on the order of sqrt(n) quantum queries at best,
+maximization to accuracy epsilon inherits the matching lower bound.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
         live = covered & active[idx]
         out = np.zeros(pts.shape[0])
         if live.any():
-            sub = family.member_derivative_at(idx[live], tuple(alpha), pts[live])
-            out[live] = sub
+            out[live] = family.member_derivative(idx[live], tuple(alpha), pts[live])
         return out
 
     # a^rho + b^rho <= 2^(1-rho) (a+b)^rho: pairs split across two supports
@@ -69,14 +68,10 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
 
 
 def decision_rule(value: float, epsilon1: float) -> int:
-    """Three-branch OR decision from a maximizer estimate."""
+    """OR decision from a maximizer estimate: 1 inside [3/4, 5/4] epsilon1, else 0."""
     if epsilon1 <= 0.0:
         raise ValueError("epsilon1 must be positive")
-    if 0.75 * epsilon1 <= value <= 1.25 * epsilon1:
-        return 1
-    if -0.25 * epsilon1 <= value <= 0.25 * epsilon1:
-        return 0
-    return 0
+    return int(0.75 * epsilon1 <= value <= 1.25 * epsilon1)
 
 
 def or_trial(

@@ -55,8 +55,8 @@ class SearchParams:
     def __post_init__(self) -> None:
         if not 1.0 < self.lambda_ <= 4.0 / 3.0:
             raise ValueError("lambda_ must lie in (1, 4/3]")
-        if self.budget_factor <= 0:
-            raise ValueError("budget_factor must be positive")
+        if not 0.0 < self.budget_factor < math.inf:
+            raise ValueError("budget_factor must be positive and finite")
         if self.boost_rounds < 1:
             raise ValueError("boost_rounds must be at least 1")
 
@@ -143,37 +143,36 @@ def qsearch(
         m = min(params.lambda_ * m, m_cap)
 
 
-class _ArrayAccessor:
-    """Adapter exposing a SequenceOracle to the threshold climb."""
+class _Accessor:
+    """The threshold climb's view of a value sequence.
 
-    __slots__ = ("_oracle",)
+    Each value(i) read is one classical query.  predicate(t) marks the
+    indices whose value is > t, with all_values() as its truth table.
+    """
 
-    def __init__(self, oracle: SequenceOracle) -> None:
-        self._oracle = oracle
+    __slots__ = ("n", "ledger", "_value_at", "_all_values")
 
-    @property
-    def n(self) -> int:
-        return self._oracle.n
-
-    @property
-    def ledger(self) -> QueryLedger:
-        return self._oracle.ledger
+    def __init__(self, n: int, ledger: QueryLedger, value_at, all_values) -> None:
+        self.n = n
+        self.ledger = ledger
+        self._value_at = value_at
+        self._all_values = all_values
 
     def value(self, i: int) -> float:
-        return self._oracle.value(i)
+        self.ledger.classical_queries += 1
+        return self._value_at(int(i))
 
-    def predicate(self, threshold: float, mode: int) -> MarkPredicate:
-        vals = self._oracle.values
-        if mode > 0:
-            marks = lambda i, t=threshold: bool(vals[int(i)] > t)
-            provider = lambda t=threshold: vals > t
-        else:
-            marks = lambda i, t=threshold: bool(vals[int(i)] < t)
-            provider = lambda t=threshold: vals < t
-        return MarkPredicate(self.n, marks, self._oracle.ledger, mask_provider=provider)
+    def predicate(self, threshold: float) -> MarkPredicate:
+        value_at, all_values = self._value_at, self._all_values
+        return MarkPredicate(
+            self.n,
+            lambda i: value_at(int(i)) > threshold,
+            self.ledger,
+            mask_provider=lambda: all_values() > threshold,
+        )
 
 
-def _threshold_climb(acc, rng, params, budget, mode, record=None):
+def _threshold_climb(acc, rng, params, budget, record=None):
     """One round of threshold improvement within a quantum budget.
 
     Returns (index, value, clean) where clean is True when the round ended
@@ -189,7 +188,7 @@ def _threshold_climb(acc, rng, params, budget, mode, record=None):
         remaining = budget - (acc.ledger.quantum_queries - start)
         if remaining <= 0:
             break
-        pred = acc.predicate(current, mode)
+        pred = acc.predicate(current)
         idx = qsearch(pred, rng, params, remaining)
         if idx is None:
             clean = True
@@ -201,19 +200,27 @@ def _threshold_climb(acc, rng, params, budget, mode, record=None):
     return s, current, clean
 
 
-def _boosted_climb(acc, rng, params, budget, mode, record_thresholds=None):
+def _boosted_climb(acc, rng, params, budget, record_thresholds=None):
     best_s = None
     best_v = None
     success = True
     for _ in range(params.boost_rounds):
         rec = [] if record_thresholds is not None else None
-        s, v, clean = _threshold_climb(acc, rng, params, budget, mode, record=rec)
+        s, v, clean = _threshold_climb(acc, rng, params, budget, record=rec)
         if record_thresholds is not None:
             record_thresholds.append(rec)
-        if best_v is None or (mode > 0 and v > best_v) or (mode < 0 and v < best_v):
+        if best_v is None or v > best_v:
             best_s, best_v = s, v
         success = success and clean
     return best_s, best_v, success
+
+
+def _climb_sequence(oracle, values, rng, params, record_thresholds):
+    """Boosted maximum search over values, charged to the oracle's ledger."""
+    params = params if params is not None else SearchParams()
+    acc = _Accessor(oracle.n, oracle.ledger, lambda i: float(values[i]), lambda: values)
+    budget = math.ceil(params.budget_factor * math.sqrt(acc.n))
+    return _boosted_climb(acc, rng, params, budget, record_thresholds)
 
 
 def find_maximum(
@@ -230,10 +237,7 @@ def find_maximum(
     half at the default budget factor; each extra round halves the
     failure probability.
     """
-    params = params if params is not None else SearchParams()
-    acc = _ArrayAccessor(oracle)
-    budget = math.ceil(params.budget_factor * math.sqrt(acc.n))
-    s, v, success = _boosted_climb(acc, rng, params, budget, +1, record_thresholds)
+    s, v, success = _climb_sequence(oracle, oracle.values, rng, params, record_thresholds)
     return MaxResult(value=v, witness=s, success=success, ledger=oracle.ledger.snapshot())
 
 
@@ -243,9 +247,13 @@ def find_minimum(
     params: SearchParams | None = None,
     record_thresholds: list | None = None,
 ) -> MaxResult:
-    """Mirror image of find_maximum (thresholds strictly decrease)."""
-    params = params if params is not None else SearchParams()
-    acc = _ArrayAccessor(oracle)
-    budget = math.ceil(params.budget_factor * math.sqrt(acc.n))
-    s, v, success = _boosted_climb(acc, rng, params, budget, -1, record_thresholds)
-    return MaxResult(value=v, witness=s, success=success, ledger=oracle.ledger.snapshot())
+    """Mirror image of find_maximum (thresholds strictly decrease).
+
+    Runs the maximum search on the negated values; negation is exact, so
+    every comparison, and hence every step, is that of a minimum search.
+    """
+    rec = [] if record_thresholds is not None else None
+    s, v, success = _climb_sequence(oracle, -oracle.values, rng, params, rec)
+    if record_thresholds is not None:
+        record_thresholds.extend([-t for t in chain] for chain in rec)
+    return MaxResult(value=-v, witness=s, success=success, ledger=oracle.ledger.snapshot())

@@ -149,3 +149,36 @@ def test_missing_config_file_is_parameter_error(capsys):
     code, _, err = run_cli(["qsearch-bench", "--config", "/does/not/exist.cfg"], capsys)
     assert code == 2
     assert err
+
+
+def test_config_loses_to_full_flag_and_refuses_abbreviation(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3\nn = 16\n")
+    out_csv = tmp_path / "m.csv"
+    args = ["maxfind-bench", "--trials", "1", "--config", str(cfg), "--out", str(out_csv)]
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    header, row = out_csv.read_text().splitlines()[:2]
+    assert dict(zip(header.split(","), row.split(",")))["trials"] == "1"
+    # an abbreviated flag would slip past the config precedence check
+    code, _, err = run_cli(["maxfind-bench", "--trial", "1", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "--trial" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_budget_factor_is_parameter_error(value, capsys):
+    args = ["holder-max", "--function", "peak", "--n", "8", f"--budget-factor={value}"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("qfmax: error: budget_factor")
+
+
+def test_node_cap_is_parameter_error(monkeypatch, capsys):
+    def capped(*args, **kwargs):
+        raise RuntimeError("certified refinement exceeded the node cap")
+
+    monkeypatch.setattr("qfmax.cli.quantum_maximize", capped)
+    code, _, err = run_cli(["holder-max", "--function", "peak", "--n", "8"], capsys)
+    assert code == 2
+    assert err == "qfmax: error: certified refinement exceeded the node cap\n"

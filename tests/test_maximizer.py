@@ -90,15 +90,19 @@ def test_local_max_constant_model():
 
 
 def test_local_max_linear_vertex_formula():
+    # per-axis extents on both sides: a dispatch that pairs a gradient
+    # with another axis's extent gets these boxes wrong
     rng = np.random.default_rng(3)
     for d in (1, 2, 3):
         for _ in range(20):
             model = random_model(rng, d, 1)
-            half = rng.uniform(0.01, 0.2)
-            lo, hi = model.center - half, model.center + half
+            below, above = rng.uniform(0.01, 0.2, size=(2, d))
+            lo, hi = model.center - below, model.center + above
             got = local_max_taylor(model, lo, hi, 1e-9)
-            grads = np.array([model.coeff(tuple(np.eye(d, dtype=int)[k])) for k in range(d)])
-            want = model.coeff((0,) * d) + half * np.abs(grads).sum()
+            want = model.coeff((0,) * d)
+            for k in range(d):
+                g = model.coeff(tuple(np.eye(d, dtype=int)[k]))
+                want += max(-g * below[k], g * above[k])
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -141,16 +145,28 @@ def test_quadratic_closed_form_agrees_with_branch_and_bound():
             assert exact == pytest.approx(bb, abs=2e-7)
 
 
-def test_local_max_values_batch_matches_scalar_route():
-    f = make_function("cosprod", 2, 2, 1.0, rng=np.random.default_rng(4))
-    grid = build_grid(5, 2)
-    eps1 = grid.h ** 3
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_local_max_values_batch_matches_scalar_route(d, r):
+    f = make_function("cosprod", d, r, 1.0, rng=np.random.default_rng(4))
+    grid = build_grid(5, d)
+    eps1 = grid.h ** (r + 1)
     led = QueryLedger()
     batch = local_max_values(f, grid, eps1, led)
     for i in range(grid.N):
         model = taylor_model(f, grid.center(i))
         lo, hi = grid.cube_bounds(i)
         assert batch[i] == pytest.approx(local_max_taylor(model, lo, hi, eps1), abs=1e-12)
+
+
+@pytest.mark.parametrize("r,eps1", [(3, 0.0), (0, -1.0), (1, float("nan"))])
+def test_non_positive_eps1_is_refused_up_front(r, eps1):
+    f = make_function("cosprod", 1, r, 1.0)
+    params = MaximizerParams(n_override=4, eps1=eps1)
+    with pytest.raises(ValueError, match="eps1"):
+        quantum_maximize(f, params, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="eps1"):
+        local_max_values(f, build_grid(4, 1), eps1)
 
 
 def test_local_max_uses_no_function_evaluations():

@@ -28,6 +28,11 @@ def test_params_validation():
         SearchParams(lambda_=1.5)
     with pytest.raises(ValueError):
         SearchParams(budget_factor=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SearchParams(budget_factor=bad)
+        with pytest.raises(ValueError):
+            SearchParams(lambda_=bad)
     with pytest.raises(ValueError):
         SearchParams(boost_rounds=0)
 
