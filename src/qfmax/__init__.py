@@ -55,6 +55,7 @@ from .maximizer import (
     quantum_maximize,
 )
 from .qcore import (
+    ClassState,
     MarkPredicate,
     QueryLedger,
     StateVector,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BumpFamily",
+    "ClassState",
     "ExperimentSpec",
     "Grid",
     "HolderFunction",

@@ -149,6 +149,10 @@ class ExperimentSpec:
     h_conf: float | None = None
     patterns: tuple[str, ...] = ("zeros", "one", "random")
 
+    def __post_init__(self) -> None:
+        if any(n < 1 for n in self.sizes):
+            raise ValueError(f"sizes must be positive integers, got {self.sizes}")
+
 
 def _fmt(v) -> str:
     if v is None or v == "":

@@ -173,25 +173,22 @@ def _search_params(args: argparse.Namespace) -> SearchParams:
 
 
 def _spec_from(args: argparse.Namespace, descriptor: str) -> ExperimentSpec:
-    spec = ExperimentSpec(
+    fields = {}
+    if hasattr(args, "function"):
+        fields.update(function=args.function, d=args.d, r=args.r, rho=args.rho, h_conf=args.h_conf)
+    if descriptor in ("holder-queries-vs-eps", "baseline-queries-vs-eps"):
+        fields["eps_values"] = tuple(args.eps)
+    else:
+        fields["sizes"] = tuple(args.n)
+    if descriptor == "or-reduction":
+        fields["patterns"] = tuple(tok for tok in args.patterns.split(",") if tok)
+    return ExperimentSpec(
         descriptor=descriptor,
         trials=args.trials,
         master_seed=args.seed,
         search=_search_params(args),
+        **fields,
     )
-    if hasattr(args, "function"):
-        spec.function = args.function
-        spec.d = args.d
-        spec.r = args.r
-        spec.rho = args.rho
-        spec.h_conf = args.h_conf
-    if descriptor in ("holder-queries-vs-eps", "baseline-queries-vs-eps"):
-        spec.eps_values = tuple(args.eps)
-    else:
-        spec.sizes = tuple(args.n)
-    if descriptor == "or-reduction":
-        spec.patterns = tuple(tok for tok in args.patterns.split(",") if tok)
-    return spec
 
 
 def _print_rows(rows: list[dict]) -> None:

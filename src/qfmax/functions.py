@@ -224,6 +224,8 @@ def make_function(
     rng: np.random.Generator | None = None,
 ) -> HolderFunction:
     """Instantiate a registered test function for the given class."""
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
     try:
         factory = _REGISTRY[name]
     except KeyError:

@@ -79,8 +79,8 @@ def choose_n(
     epsilon: float, d: int, r: int, rho: float, h_conf: float | None = None
 ) -> int:
     """Smallest per-axis subdivision with (h_conf + 1) (1/n)^(r+rho) <= epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if h_conf is None:
         h_conf = default_h_conf(d, r)
     x = ((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho))

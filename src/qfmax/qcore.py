@@ -13,8 +13,13 @@ and is free; verifying a measured candidate against the predicate costs one
 classical query.
 
 All operations are pure (they return new states) except for ledger counter
-increments.  Simulation work is not the cost model: a step touches all N
-amplitudes, but only the ledger reflects query complexity.
+increments.  Simulation work is not the cost model: only the ledger reflects
+query complexity.  The search runs on ClassState: from the uniform start,
+every step keeps one amplitude shared by all marked indices and one shared
+by all unmarked indices, so a step is O(1) and a measurement bisects the
+predicate's running mark count in O(log N).  StateVector holds all N
+amplitudes, a step touches every one of them, and it serves as the
+reference the two-amplitude state is checked against.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 __all__ = [
     "QueryLedger",
     "StateVector",
+    "ClassState",
     "MarkPredicate",
     "uniform_state",
     "grover_iteration",
@@ -92,6 +98,61 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
+class ClassState:
+    """Grover state of the search, stored as two class amplitudes.
+
+    Every marked index carries the real amplitude ``marked`` and every
+    unmarked index carries ``unmarked``.  ``counts`` is the running mark
+    count R[i] = #{marked indices <= i} of the predicate the state was
+    amplified under and ``k`` = R[dim-1] its marked count.  The uniform
+    start has ``counts`` None and ``k`` 0: its two amplitudes are equal,
+    so the marking does not matter yet.
+    """
+
+    __slots__ = ("dim", "marked", "unmarked", "counts", "k")
+
+    def __init__(self, dim: int, marked: float, unmarked: float, counts=None, k: int = 0) -> None:
+        self.dim = dim
+        self.marked = marked
+        self.unmarked = unmarked
+        self.counts = counts
+        self.k = k
+
+    @classmethod
+    def uniform(cls, dim: int) -> "ClassState":
+        """Uniform superposition, amplitude 1/sqrt(dim) in both classes."""
+        if dim < 1:
+            raise ValueError("dim must be a positive integer")
+        amp = 1.0 / math.sqrt(dim)
+        return cls(dim, amp, amp)
+
+    def locate(self, x: float) -> int:
+        """First index whose cumulative probability exceeds x; dim-1 if none.
+
+        With a = marked and b = unmarked, the probability mass of indices
+        0..i is a^2 R[i] + b^2 (i+1-R[i]), non-decreasing in i, so bisection
+        finds the index that searchsorted over the cumsum of the full
+        probability vector would return.
+        """
+        a2 = self.marked * self.marked
+        b2 = self.unmarked * self.unmarked
+        counts = self.counts
+        lo, hi = 0, self.dim - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            r = 0 if counts is None else counts.item(mid)
+            if a2 * r + b2 * (mid + 1 - r) > x:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def total(self) -> float:
+        """Probability mass of all dim indices (1 up to rounding)."""
+        k = self.k
+        return self.marked * self.marked * k + self.unmarked * self.unmarked * (self.dim - k)
+
+
 def uniform_state(dim: int) -> StateVector:
     """Uniform superposition, amplitude 1/sqrt(dim) on every index."""
     if dim < 1:
@@ -111,7 +172,7 @@ class MarkPredicate:
     supply the full table in one vectorized call.
     """
 
-    __slots__ = ("dim", "ledger", "_marks", "_mask", "_mask_provider")
+    __slots__ = ("dim", "ledger", "_marks", "_mask", "_counts", "_mask_provider")
 
     def __init__(
         self,
@@ -125,6 +186,7 @@ class MarkPredicate:
         self.dim = dim
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._mask_provider = mask_provider
+        self._counts = None
         if callable(marks):
             self._marks = marks
             self._mask = None
@@ -148,6 +210,17 @@ class MarkPredicate:
                 )
         return self._mask
 
+    def counts(self) -> np.ndarray:
+        """Running mark count R[i] = #{marked indices <= i}, cached with the mask.
+
+        Reads the truth table on every call, as each phase-oracle
+        application does.
+        """
+        mask = self.mask()
+        if self._counts is None:
+            self._counts = np.cumsum(mask)
+        return self._counts
+
     def check(self, index: int) -> bool:
         """Classically verify one index (one classical query)."""
         self.ledger.classical_queries += 1
@@ -157,23 +230,46 @@ class MarkPredicate:
         return bool(self._marks(int(index)))
 
 
-def grover_iteration(state: StateVector, pred: MarkPredicate) -> StateVector:
+def grover_iteration(
+    state: ClassState | StateVector, pred: MarkPredicate
+) -> ClassState | StateVector:
     """One amplification step: phase oracle, then inversion about the mean.
 
-    Charges exactly one quantum query.  Preserves the norm (both factors
-    are reflections, hence unitary for every dim >= 1).
+    Takes a ClassState (an O(1) update of the two class amplitudes) or a
+    StateVector (all dim amplitudes).  Charges exactly one quantum query.
+    Preserves the norm (both factors are reflections, hence unitary for
+    every dim >= 1).
     """
     if state.dim != pred.dim:
         raise ValueError(f"state dim {state.dim} != predicate dim {pred.dim}")
-    m = pred.mask()
-    flipped = np.where(m, -state.amps, state.amps)
-    out = 2.0 * flipped.mean() - flipped
+    if isinstance(state, ClassState):
+        counts = pred.counts()
+        if state.counts is counts:
+            k = state.k
+        elif state.counts is None:
+            k = int(counts[-1])
+        else:
+            raise ValueError("state was amplified under another predicate")
+        n = state.dim
+        flipped = -state.marked
+        mean = (k * flipped + (n - k) * state.unmarked) / n
+        out = ClassState(n, 2.0 * mean - flipped, 2.0 * mean - state.unmarked, counts, k)
+    else:
+        m = pred.mask()
+        flipped = np.where(m, -state.amps, state.amps)
+        out = StateVector._trusted(2.0 * flipped.mean() - flipped)
     pred.ledger.quantum_queries += 1
-    return StateVector._trusted(out)
+    return out
 
 
-def measure(state: StateVector, rng: np.random.Generator) -> int:
-    """Sample an index from |amps|^2.  Does not charge any query."""
+def measure(state: ClassState | StateVector, rng: np.random.Generator) -> int:
+    """Sample an index from |amps|^2 with one rng.random() draw.
+
+    Free of queries.  Indices are ordered as in the cumulative sum of the
+    probability vector, for a ClassState as for a StateVector.
+    """
+    if isinstance(state, ClassState):
+        return state.locate(rng.random() * state.total())
     p = state.probabilities()
     c = np.cumsum(p)
     x = rng.random() * c[-1]

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import (
+    ClassState,
     MarkPredicate,
     QueryLedger,
     grover_iteration,
     measure,
-    uniform_state,
 )
 
 __all__ = [
@@ -116,6 +116,10 @@ def qsearch(
     lambda_ up to sqrt(dim).  Draws are clamped so that exactly
     ``max_queries`` quantum queries are consumed before giving up.
 
+    The steps run on the two-amplitude ClassState: each is O(1) and a
+    measurement is O(log dim), while the ledger still charges one quantum
+    query per step.
+
     Returns a verified marked index, or None at budget exhaustion.
     """
     if max_queries < 0:
@@ -131,7 +135,7 @@ def qsearch(
     while True:
         j = int(rng.integers(0, math.ceil(m)))
         j = min(j, max_queries - used)
-        state = uniform_state(dim)
+        state = ClassState.uniform(dim)
         for _ in range(j):
             state = grover_iteration(state, pred)
         used += j

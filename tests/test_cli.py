@@ -182,3 +182,22 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
     code, _, err = run_cli(["holder-max", "--function", "peak", "--n", "8"], capsys)
     assert code == 2
     assert err == "qfmax: error: certified refinement exceeded the node cap\n"
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["maxfind-bench", "--n", "0", "--trials", "2"], "sizes"),
+        (["qsearch-bench", "--n", "0"], "sizes"),
+        (["holder-max", "--d", "0", "--n", "4"], "d must"),
+        (["holder-max", "--d", "-1", "--n", "3"], "d must"),
+        (["holder-max", "--eps", "nan"], "epsilon"),
+        (["holder-max", "--eps", "inf"], "epsilon"),
+    ],
+)
+def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"qfmax: error: {names}")
+    assert err.count("\n") == 1

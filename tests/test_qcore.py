@@ -1,11 +1,14 @@
-"""Statevector core: closed-form equivalence, ledger accounting, measurement."""
+"""Statevector core and the two-amplitude search state: closed forms, ledger, measurement."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfmax.qcore import (
+    ClassState,
     MarkPredicate,
     QueryLedger,
     StateVector,
@@ -230,3 +233,91 @@ def test_measure_reproducible_under_seed():
     a = [measure(s, np.random.default_rng(99)) for _ in range(5)]
     b = [measure(s, np.random.default_rng(99)) for _ in range(5)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# two-amplitude ClassState against the StateVector reference
+
+
+@st.composite
+def _amplified(draw):
+    """(n, mask, j): a register, its marking (k = 0 and k = n included), a step count."""
+    n = draw(st.integers(2, 256))
+    mask = draw(
+        st.one_of(
+            st.just(np.zeros(n, dtype=bool)),
+            st.just(np.ones(n, dtype=bool)),
+            st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        )
+    )
+    return n, mask, draw(st.integers(0, 40))
+
+
+def _both_states(n, mask, j):
+    ref_ledger, cls_ledger = QueryLedger(), QueryLedger()
+    ref_pred = MarkPredicate(n, mask, ref_ledger)
+    cls_pred = MarkPredicate(n, mask, cls_ledger)
+    ref, cls = uniform_state(n), ClassState.uniform(n)
+    for _ in range(j):
+        ref = grover_iteration(ref, ref_pred)
+        cls = grover_iteration(cls, cls_pred)
+    assert ref_ledger.quantum_queries == cls_ledger.quantum_queries == j
+    return ref, cls
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@_PROPERTY
+@given(_amplified())
+def test_class_amplitudes_match_statevector(case):
+    n, mask, j = case
+    ref, cls = _both_states(n, mask, j)
+    assert cls.dim == n
+    if mask.any():
+        assert np.abs(ref.amps[mask] - cls.marked).max() <= 1e-12
+    if not mask.all():
+        assert np.abs(ref.amps[~mask] - cls.unmarked).max() <= 1e-12
+
+
+@_PROPERTY
+@given(_amplified(), st.integers(0, 2**32 - 1))
+def test_class_measure_keeps_the_cumsum_index_order(case, seed):
+    n, mask, j = case
+    ref, cls = _both_states(n, mask, j)
+    c = np.cumsum(ref.probabilities())
+    probe, rng_ref, rng_cls = (np.random.default_rng(seed) for _ in range(3))
+    compared = 0
+    for _ in range(64):
+        x = probe.random() * c[-1]
+        want, got = measure(ref, rng_ref), measure(cls, rng_cls)
+        assert want == min(int(np.searchsorted(c, x, side="right")), n - 1)
+        if np.abs(c - x).min() > 1e-9:
+            assert got == want
+            compared += 1
+    assert compared > 0
+
+
+@_PROPERTY
+@given(_amplified(), st.integers(0, 2**32 - 1))
+def test_class_measure_hits_marked_at_the_closed_form_rate(case, seed):
+    n, mask, j = case
+    _, cls = _both_states(n, mask, j)
+    p = grover_success_probability(n, int(mask.sum()), j)
+    rng = np.random.default_rng(seed)
+    draws = 1000
+    hits = sum(bool(mask[measure(cls, rng)]) for _ in range(draws))
+    # 3 sigma of a binomial count, plus one draw for p near 0 or 1.
+    assert abs(hits - draws * p) <= 3.0 * math.sqrt(draws * p * (1.0 - p)) + 1.0
+
+
+def test_class_state_refuses_a_second_predicate():
+    first = MarkPredicate(8, lambda i: i == 3)
+    second = MarkPredicate(8, lambda i: i == 5)
+    s = grover_iteration(ClassState.uniform(8), first)
+    with pytest.raises(ValueError):
+        grover_iteration(s, second)
+    with pytest.raises(ValueError):
+        grover_iteration(ClassState.uniform(5), first)
+    with pytest.raises(ValueError):
+        ClassState.uniform(0)
