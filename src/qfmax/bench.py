@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import grid_maximize
 from .functions import make_function
-from .maximizer import MaximizerParams, choose_n, default_h_conf, quantum_maximize
+from .maximizer import MaximizerParams, _check_h_conf, choose_n, default_h_conf, quantum_maximize
 from .qcore import MarkPredicate, QueryLedger
 from .reduction import or_trial
 from .search import SearchParams, SequenceOracle, find_maximum, qsearch
@@ -152,6 +152,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if any(n < 1 for n in self.sizes):
             raise ValueError(f"sizes must be positive integers, got {self.sizes}")
+        _check_h_conf(self.h_conf)
 
 
 def _fmt(v) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -242,16 +243,39 @@ def taylor_model(f: HolderFunction, center, ledger: QueryLedger | None = None) -
     return TaylorModel(center=center.copy(), alphas=alphas, coeffs=coeffs[0])
 
 
+def _power_table(x: np.ndarray, top: int, power=operator.pow) -> np.ndarray:
+    """Columns power(x, e) for e = 0..top, column 0 all ones."""
+    out = np.empty((x.shape[0], top + 1))
+    out[:, 0] = 1.0
+    for e in range(1, top + 1):
+        out[:, e] = power(x, e)
+    return out
+
+
+def _monomial_sum(c: np.ndarray, exps: np.ndarray, powers) -> np.ndarray:
+    """Per row, 0.0 + the sum over j in order of c[:, j] * prod_k powers[k][:, exps[j, k]].
+
+    powers[k][:, e] is the e-th power of variable k with column 0 all
+    ones, so a zero exponent multiplies by exactly 1.
+    """
+    terms = np.zeros((c.shape[0], c.shape[1] + 1))
+    terms[:, 1:] = c
+    for k, table in enumerate(powers):
+        terms[:, 1:] *= table[:, exps[:, k]]
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+
+
 def _poly_at_offsets(alphas, coeffs, offs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * prod(offs ** alphas[k]) for each row of offs (M, d)."""
-    acc = np.zeros(offs.shape[0])
-    for alpha, c in zip(alphas, coeffs):
-        term = np.full(offs.shape[0], float(c))
-        for k, a in enumerate(alpha):
-            if a:
-                term = term * offs[:, k] ** a
-        acc += term
-    return acc
+    """sum_k coeffs[..., k] * prod(offs ** alphas[k]) for each row of offs (M, d).
+
+    coeffs is one coefficient vector shared by all rows, or (M, K) with
+    one coefficient row per row of offs.
+    """
+    m, d = offs.shape
+    exps = np.array(alphas, dtype=np.intp).reshape(len(alphas), d)
+    powers = [_power_table(offs[:, k], top) for k, top in enumerate(exps.max(axis=0))]
+    cols = np.broadcast_to(np.asarray(coeffs, dtype=float), (m, len(alphas)))
+    return _monomial_sum(cols, exps, powers)
 
 
 def eval_taylor(model: TaylorModel, pts) -> np.ndarray | float:

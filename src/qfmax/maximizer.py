@@ -16,8 +16,6 @@ amplification step, one classical query per post-measurement lookup.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +25,9 @@ from .holder import (
     Grid,
     HolderFunction,
     TaylorModel,
+    _monomial_sum,
     _poly_at_offsets,
+    _power_table,
     build_grid,
     multi_indices,
     taylor_tableau,
@@ -63,6 +63,14 @@ class MaximizerParams:
     search: SearchParams = field(default_factory=SearchParams)
     max_cubes: int = 2**24
 
+    def __post_init__(self) -> None:
+        _check_h_conf(self.h_conf)
+
+
+def _check_h_conf(h_conf: float | None) -> None:
+    if h_conf is not None and not 0.0 <= h_conf < math.inf:
+        raise ValueError(f"h_conf must be non-negative and finite, got {h_conf}")
+
 
 def default_h_conf(d: int, r: int) -> float:
     """Conservative constant H with |f - model| <= H (1/n)^(r+rho) in class.
@@ -81,6 +89,7 @@ def choose_n(
     """Smallest per-axis subdivision with (h_conf + 1) (1/n)^(r+rho) <= epsilon."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_h_conf(h_conf)
     if h_conf is None:
         h_conf = default_h_conf(d, r)
     x = ((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho))
@@ -93,7 +102,8 @@ def choose_n(
 # Degrees 0 and 1 have exact closed forms in any dimension, degree 2 has
 # exact closed forms for d <= 2 (candidate enumeration: corners, edge
 # vertices, interior critical point).  The general case runs certified
-# branch-and-bound with coefficient-derived gradient bounds.
+# branch-and-bound with coefficient-derived gradient bounds, for all rows of
+# a batch in one frontier that splits every unfinished row's best box per pass.
 
 
 def _linear_box_max(c0, grads, lo_off, hi_off):
@@ -162,89 +172,141 @@ def _quad_box_max_2d(C, lx, ux, ly, uy):
     return np.where(ok, np.maximum(best, v), best)
 
 
-def _poly_partial(alphas, coeffs, k):
-    out_a, out_c = [], []
-    for alpha, c in zip(alphas, coeffs):
-        if alpha[k] == 0:
-            continue
-        beta = list(alpha)
-        beta[k] -= 1
-        out_a.append(tuple(beta))
-        out_c.append(c * alpha[k])
-    return out_a, out_c
+def _libm_pow(x: np.ndarray, e: int) -> np.ndarray:
+    # C pow per element; numpy's vector power and square can differ from it in the last bit
+    return x if e == 1 else np.array([math.pow(v, e) for v in x.tolist()])
 
 
-def _poly_abs_bound(alphas, coeffs, lo_off, hi_off):
-    m = np.maximum(np.abs(lo_off), np.abs(hi_off))
-    total = 0.0
-    for alpha, c in zip(alphas, coeffs):
-        term = abs(float(c))
-        for k, a in enumerate(alpha):
-            if a:
-                term *= m[k] ** a
-        total += term
-    return total
+def _gradient_terms(alphas, d: int):
+    """The terms of each partial derivative d p / d t_k, and the top exponents.
 
-
-def _branch_bound_max(model: TaylorModel, lo, hi, eps1: float, max_nodes: int = 500_000):
-    """Certified max of the model over [lo, hi] within eps1.
-
-    Interval bound per box: value at the midpoint plus the sum over axes
-    of a coefficient-derived sup bound on |d p / d t_k| times the half
-    width.  Boxes are split along their longest axis, best-upper-bound
-    first, until the gap between the incumbent and the largest upper
-    bound is at most eps1.
+    Entry k of the list is (coefficient columns, alpha[k], exponents with
+    alpha[k] lowered by one); tops[j] is the largest exponent of axis j in
+    any of them.
     """
-    d = model.center.size
-    alphas, coeffs = model.alphas, model.coeffs
-    partials = [_poly_partial(alphas, coeffs, k) for k in range(d)]
-    lo0 = np.asarray(lo, dtype=float) - model.center
-    hi0 = np.asarray(hi, dtype=float) - model.center
+    exps = np.array(alphas, dtype=np.intp).reshape(len(alphas), d)
+    terms = []
+    for k in range(d):
+        cols = np.flatnonzero(exps[:, k])
+        lowered = exps[cols]
+        lowered[:, k] -= 1
+        terms.append((cols, exps[cols, k].astype(float), lowered))
+    tops = np.max([t[2].max(axis=0, initial=0) for t in terms], axis=0)
+    return terms, tops
 
-    def box_bounds(lo_off, hi_off):
-        mid = 0.5 * (lo_off + hi_off)
-        val = float(_poly_at_offsets(alphas, coeffs, mid[None, :])[0])
-        slack = 0.0
-        for k in range(d):
-            pa, pc = partials[k]
-            gbound = _poly_abs_bound(pa, pc, lo_off, hi_off)
-            slack += gbound * 0.5 * (hi_off[k] - lo_off[k])
-        return val, val + slack
 
-    best, ub0 = box_bounds(lo0, hi0)
-    heap = [(-ub0, 0, lo0, hi0)]
-    counter = itertools.count(1)
-    nodes = 0
-    ub_final = ub0
-    while heap:
-        neg_ub, _, blo, bhi = heapq.heappop(heap)
-        ub = -neg_ub
-        if ub - best <= eps1:
-            ub_final = ub
+def _box_bounds(alphas, grads, coeffs, lo, hi):
+    """Midpoint value and upper bound of each row's model over its offset box.
+
+    The bound adds, per axis k, a sup bound on |d p / d t_k| (sum of
+    |c| prod m^beta over the partial's terms, m the largest |offset|)
+    times the half width.  grads is _gradient_terms(alphas, d).
+    """
+    terms, tops = grads
+    val = _poly_at_offsets(alphas, coeffs, 0.5 * (lo + hi))
+    m = np.maximum(np.abs(lo), np.abs(hi))
+    powers = [_power_table(m[:, k], top, _libm_pow) for k, top in enumerate(tops)]
+    slack = np.zeros(m.shape[0])
+    for k, (cols, alpha_k, exps) in enumerate(terms):
+        g = _monomial_sum(np.abs(coeffs[:, cols] * alpha_k), exps, powers)
+        slack += g * 0.5 * (hi[:, k] - lo[:, k])
+    return val, val + slack
+
+
+def _branch_bound_max(
+    alphas, coeffs, centers, lo_off, hi_off, eps1: float, max_nodes: int = 500_000
+) -> np.ndarray:
+    """Certified max of each row's model over its box within eps1, all rows at once.
+
+    Every row runs best-first branch-and-bound: pop the box with the
+    largest upper bound (oldest first on ties), stop once that bound is
+    within eps1 of the incumbent, else split it along its longest axis
+    and keep each half whose bound still clears the incumbent by eps1.
+    The open boxes of all rows share one frontier and every active row
+    takes one such step per pass, so the numpy work is batched across
+    rows while each row's sequence of steps is its own.  More than
+    max_nodes splits in one row raise RuntimeError.
+    """
+    rows, d = lo_off.shape
+    grads = _gradient_terms(alphas, d)
+    lo = (centers + lo_off) - centers
+    hi = (centers + hi_off) - centers
+    best, ub = _box_bounds(alphas, grads, coeffs, lo, hi)
+    ub_final = np.zeros(rows)
+    nodes = np.zeros(rows, dtype=np.int64)
+    # The frontier holds one slot per open box: its row, bound, push order
+    # and box.  Slots of popped boxes move to the extra row `rows`; they and
+    # the slots of stopped rows are dropped once they make up half the pool.
+    cell = np.arange(rows)
+    seq = np.zeros(rows, dtype=np.int64)
+    stopped = np.zeros(rows + 1, dtype=bool)
+    stopped[rows] = True
+    open_boxes = np.ones(rows, dtype=np.int64)
+    used, stale, step = rows, 0, 0
+    while True:
+        live = cell[:used]
+        top_ub = np.full(rows + 1, -np.inf)
+        np.maximum.at(top_ub, live, ub[:used])
+        cand = np.flatnonzero((ub[:used] == top_ub[live]) & ~stopped[live])
+        if not cand.size:
             break
-        nodes += 1
-        if nodes > max_nodes:
+        cand = cand[np.lexsort((seq[cand], cell[cand]))]
+        first = np.ones(cand.size, dtype=bool)
+        first[1:] = cell[cand[1:]] != cell[cand[:-1]]
+        top = cand[first]
+        tc = cell[top]
+        done = ub[top] - best[tc] <= eps1
+        ub_final[tc[done]] = ub[top[done]]
+        stopped[tc[done]] = True
+        stale += open_boxes[tc[done]].sum()
+        top, tc = top[~done], tc[~done]
+        nodes[tc] += 1
+        if np.any(nodes[tc] > max_nodes):
             raise RuntimeError("certified refinement exceeded the node cap")
-        axis = int(np.argmax(bhi - blo))
-        mid = 0.5 * (blo[axis] + bhi[axis])
-        for child_lo, child_hi in (
-            (blo, _replace(bhi, axis, mid)),
-            (_replace(blo, axis, mid), bhi),
-        ):
-            val, cub = box_bounds(child_lo, child_hi)
-            if val > best:
-                best = val
-            if cub - best > eps1:
-                heapq.heappush(heap, (-cub, next(counter), child_lo, child_hi))
-    else:
-        ub_final = best
-    ub_final = max(ub_final, best)
-    return 0.5 * (best + min(ub_final, best + eps1))
+        cell[top] = rows
+        stale += top.size
+        # split each popped box along its longest axis into a low and a high half
+        pick = np.arange(top.size)
+        blo, bhi = lo[top], hi[top]
+        axis = np.argmax(bhi - blo, axis=1)
+        mid = 0.5 * (blo[pick, axis] + bhi[pick, axis])
+        hi1, lo2 = bhi.copy(), blo.copy()
+        hi1[pick, axis] = mid
+        lo2[pick, axis] = mid
+        clo, chi = np.concatenate([blo, lo2]), np.concatenate([hi1, bhi])
+        crow = np.concatenate([tc, tc])
+        val, cub = _box_bounds(alphas, grads, coeffs[crow], clo, chi)
+        # the incumbent takes the low half's value before the high half is tested
+        b0 = best[tc]
+        b1 = np.where(val[: tc.size] > b0, val[: tc.size], b0)
+        b2 = np.where(val[tc.size :] > b1, val[tc.size :], b1)
+        best[tc] = b2
+        push = cub - np.concatenate([b1, b2]) > eps1
+        open_boxes[tc] += push[: tc.size].astype(np.int64) + push[tc.size :] - 1
+        step += 1
+        child_seq = np.repeat([2 * step - 1, 2 * step], tc.size)
+        if stale > used // 2:
+            keep = np.flatnonzero(~stopped[cell[:used]])
+            used, stale = keep.size, 0
+            cell[:used], ub[:used], seq[:used] = cell[keep], ub[keep], seq[keep]
+            lo[:used], hi[:used] = lo[keep], hi[keep]
+        new = np.flatnonzero(push)
+        if used + new.size > cell.size:
+            size = 2 * (used + new.size)
+            cell, ub, seq, lo, hi = (_grown(a, used, size) for a in (cell, ub, seq, lo, hi))
+        fill = slice(used, used + new.size)
+        cell[fill], ub[fill], seq[fill] = crow[new], cub[new], child_seq[new]
+        lo[fill], hi[fill] = clo[new], chi[new]
+        used += new.size
+    # a row whose frontier ran empty ends at its incumbent
+    ub_final = np.where(stopped[:rows] & ~(best > ub_final), ub_final, best)
+    cap = best + eps1
+    return 0.5 * (best + np.where(cap < ub_final, cap, ub_final))
 
 
-def _replace(arr, axis, value):
-    out = arr.copy()
-    out[axis] = value
+def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
     return out
 
 
@@ -254,8 +316,9 @@ def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray
     Row i is the model with coefficients coeffs[i] (ordered like alphas)
     around centers[i], maximized over centers[i] + [lo_off[i], hi_off[i]].
     Canonically ordered models (multi_indices) of degree <= 1, or of
-    degree 2 in d <= 2, use the closed forms; every other row runs
-    branch-and-bound.
+    degree 2 in d <= 2, use the closed forms; all other rows are certified
+    together by one batched branch-and-bound frontier (_branch_bound_max),
+    whose per-row results equal those of a per-model heap bit for bit.
     """
     if not eps1 > 0.0:
         raise ValueError("eps1 must be positive")
@@ -276,11 +339,7 @@ def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray
             return _quad_box_max_2d(
                 list(coeffs.T), lo_off[:, 0], hi_off[:, 0], lo_off[:, 1], hi_off[:, 1]
             )
-    out = np.empty(coeffs.shape[0])
-    for i in range(out.size):
-        model = TaylorModel(center=centers[i], alphas=alphas, coeffs=coeffs[i])
-        out[i] = _branch_bound_max(model, centers[i] + lo_off[i], centers[i] + hi_off[i], eps1)
-    return out
+    return _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1)
 
 
 def local_max_taylor(model: TaylorModel, lo, hi, eps1: float) -> float:
@@ -309,8 +368,8 @@ def local_max_at(
 ) -> np.ndarray:
     """Certified local maxima of f's Taylor models on cells around centers.
 
-    Vectorized over cells for the closed-form degrees; the general case
-    falls back to per-cell branch-and-bound.  Charges
+    Vectorized over cells: closed forms for the low degrees, otherwise one
+    branch-and-bound frontier shared by all cells.  Charges
     coefficient_count(d, r) evaluations per center.
     """
     alphas, coeffs = taylor_tableau(f, centers, ledger)

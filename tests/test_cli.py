@@ -193,6 +193,11 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["holder-max", "--d", "-1", "--n", "3"], "d must"),
         (["holder-max", "--eps", "nan"], "epsilon"),
         (["holder-max", "--eps", "inf"], "epsilon"),
+        (["holder-max", "--n", "4", "--h-conf", "-5"], "h_conf"),
+        (["holder-max", "--eps", "0.1", "--h-conf", "-1"], "h_conf"),
+        (["holder-max", "--eps", "0.1", "--h-conf", "inf"], "h_conf"),
+        (["scaling", "--kind", "error-vs-n", "--n", "4,8,16", "--trials", "2",
+          "--h-conf", "nan"], "h_conf"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):

@@ -1,10 +1,13 @@
 """Certified local maximization and the end-to-end quantum maximizer."""
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfmax.functions import make_function
 from qfmax.holder import (
@@ -141,8 +144,192 @@ def test_quadratic_closed_form_agrees_with_branch_and_bound():
             half = rng.uniform(0.02, 0.1)
             lo, hi = model.center - half, model.center + half
             exact = local_max_taylor(model, lo, hi, 1e-10)
-            bb = _branch_bound_max(model, lo, hi, 1e-7)
+            bb = _branch_bound_max(
+                model.alphas, model.coeffs[None], model.center[None],
+                np.full((1, d), -half), np.full((1, d), half), 1e-7,
+            )[0]
             assert exact == pytest.approx(bb, abs=2e-7)
+
+
+# ---------------------------------------------------------------------------
+# the batched branch-and-bound frontier against a per-model heap
+
+
+def reference_branch_bound(alphas, coeffs, center, lo_off, hi_off, eps1, max_nodes=500_000):
+    """Per-model heap branch-and-bound; returns (certified max, boxes split).
+
+    The batched frontier must reproduce it bit for bit, so its float
+    operations are the ones the frontier copies: offsets are
+    (center + lo_off) - center, polynomial terms are added one by one,
+    slack is summed over axes in order, and the powers in the gradient
+    bound are scalar powers.
+    """
+    d = center.size
+
+    def partial(k):
+        out_a, out_c = [], []
+        for alpha, c in zip(alphas, coeffs):
+            if alpha[k]:
+                beta = list(alpha)
+                beta[k] -= 1
+                out_a.append(beta)
+                out_c.append(c * alpha[k])
+        return out_a, out_c
+
+    partials = [partial(k) for k in range(d)]
+
+    def abs_bound(pa, pc, lo, hi):
+        m = np.maximum(np.abs(lo), np.abs(hi))
+        total = 0.0
+        for alpha, c in zip(pa, pc):
+            term = abs(float(c))
+            for k, a in enumerate(alpha):
+                if a:
+                    term *= m[k] ** a
+            total += term
+        return total
+
+    def value_at(offs):
+        acc = np.zeros(1)
+        for alpha, c in zip(alphas, coeffs):
+            term = np.full(1, float(c))
+            for k, a in enumerate(alpha):
+                if a:
+                    term = term * offs[:, k] ** a
+            acc += term
+        return float(acc[0])
+
+    def box_bounds(lo, hi):
+        mid = 0.5 * (lo + hi)
+        val = value_at(mid[None, :])
+        slack = 0.0
+        for k in range(d):
+            slack += abs_bound(*partials[k], lo, hi) * 0.5 * (hi[k] - lo[k])
+        return val, val + slack
+
+    lo0 = (center + lo_off) - center
+    hi0 = (center + hi_off) - center
+    best, ub0 = box_bounds(lo0, hi0)
+    heap = [(-ub0, 0, lo0, hi0)]
+    counter = itertools.count(1)
+    nodes = 0
+    while heap:
+        neg_ub, _, blo, bhi = heapq.heappop(heap)
+        ub = -neg_ub
+        if ub - best <= eps1:
+            ub_final = ub
+            break
+        nodes += 1
+        if nodes > max_nodes:
+            raise RuntimeError("certified refinement exceeded the node cap")
+        axis = int(np.argmax(bhi - blo))
+        mid = 0.5 * (blo[axis] + bhi[axis])
+        low_hi, high_lo = bhi.copy(), blo.copy()
+        low_hi[axis] = high_lo[axis] = mid
+        for child_lo, child_hi in ((blo, low_hi), (high_lo, bhi)):
+            val, cub = box_bounds(child_lo, child_hi)
+            if val > best:
+                best = val
+            if cub - best > eps1:
+                heapq.heappush(heap, (-cub, next(counter), child_lo, child_hi))
+    else:
+        ub_final = best
+    ub_final = max(ub_final, best)
+    return 0.5 * (best + min(ub_final, best + eps1)), nodes
+
+
+@st.composite
+def _model_batches(draw):
+    d = draw(st.integers(1, 4))
+    degree = draw(st.integers(2, 4))
+    alphas = multi_indices(d, degree)
+    if draw(st.booleans()):
+        alphas = tuple(draw(st.permutations(alphas)))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # easy rows (tiny coefficients) mixed with deep ones
+    scale = rng.choice([1e-3, 0.3, 1.0, 3.0], size=(rows, 1))
+    coeffs = scale * rng.normal(size=(rows, len(alphas)))
+    centers = rng.random((rows, d))
+    lo_off = -rng.uniform(0.0, 0.15, size=(rows, d))
+    hi_off = rng.uniform(0.0, 0.15, size=(rows, d))
+    flat = rng.random((rows, d)) < 0.2  # zero-width axes
+    lo_off[flat] = hi_off[flat] = 0.0
+    eps1 = draw(st.sampled_from([3e-3, 1e-2, 3e-2]))
+    return alphas, coeffs, centers, lo_off, hi_off, eps1
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_model_batches())
+def test_batched_frontier_matches_per_model_heap_bitwise(batch):
+    alphas, coeffs, centers, lo_off, hi_off, eps1 = batch
+    got = _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1)
+    for i in range(coeffs.shape[0]):
+        want, _ = reference_branch_bound(
+            alphas, coeffs[i], centers[i], lo_off[i], hi_off[i], eps1
+        )
+        assert got[i].tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("d,degree", [(1, 4), (2, 3), (3, 4), (4, 3)])
+def test_root_box_bound_matches_per_model_heap_bitwise(d, degree):
+    # with eps1 above every gap each row stops at its root box and returns
+    # the midpoint of its value and bound, so last-bit slips in the
+    # gradient bound show here rather than being rounded away deep in a tree
+    rng = np.random.default_rng(10 * d + degree)
+    alphas = multi_indices(d, degree)
+    rows = 400
+    coeffs = rng.normal(size=(rows, len(alphas))) * rng.choice([0.1, 1.0, 10.0], size=(rows, 1))
+    centers = rng.random((rows, d))
+    lo_off = -rng.uniform(0.0, 0.5, size=(rows, d))
+    hi_off = rng.uniform(0.0, 0.5, size=(rows, d))
+    got = _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, 1e9)
+    for i in range(rows):
+        want, nodes = reference_branch_bound(
+            alphas, coeffs[i], centers[i], lo_off[i], hi_off[i], 1e9
+        )
+        assert nodes == 0
+        assert got[i].tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cubic,linear,eps1",
+    [(1.0, -1 / 16, 1 / 16), (-1.0, 1 / 16, 1 / 16), (1.0, -1 / 16, 13 / 32)],
+)
+def test_exact_ties_follow_the_heap_order(cubic, linear, eps1):
+    # x^3 - x/16 on [-1/2, 1/2]: both halves of the root have midpoint
+    # value 0 and equal bounds, so the older (low) half must be popped
+    # first; with eps1 = 13/32 the root gap equals eps1 and must stop it
+    alphas = multi_indices(1, 3)
+    coeffs = np.array([[0.0, linear, 0.0, cubic]])
+    center, half = np.array([[0.5]]), np.array([[0.5]])
+    got = _branch_bound_max(alphas, coeffs, center, -half, half, eps1)[0]
+    want, _ = reference_branch_bound(alphas, coeffs[0], center[0], -half[0], half[0], eps1)
+    assert got == want
+
+
+def test_node_cap_applies_per_row():
+    rng = np.random.default_rng(21)
+    alphas = multi_indices(2, 3)
+    rows = 60
+    coeffs = rng.normal(size=(rows, len(alphas)))
+    centers = rng.random((rows, 2))
+    half = np.full((rows, 2), 0.1)
+    eps1 = 1e-3
+    nodes = [
+        reference_branch_bound(alphas, coeffs[i], centers[i], -half[i], half[i], eps1)[1]
+        for i in range(rows)
+    ]
+    cap = max(nodes)
+    assert cap >= 2 and sum(nodes) > 10 * cap
+    # many rows together split far more than cap boxes, none more than cap
+    _branch_bound_max(alphas, coeffs, centers, -half, half, eps1, max_nodes=cap)
+    hard = [int(np.argmax(nodes))]
+    with pytest.raises(RuntimeError, match="node cap"):
+        _branch_bound_max(
+            alphas, coeffs[hard], centers[hard], -half[hard], half[hard], eps1,
+            max_nodes=cap - 1,
+        )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
