@@ -1,12 +1,15 @@
 """Reproducible benchmark experiments with flat CSV output.
 
-Every experiment is described by an ExperimentSpec and produces one CSV
-row per parameter point (aggregated over seeded trials) plus one summary
-row carrying the fitted log-log slope where a scaling law is expected.
-Trial generators are derived deterministically from (master_seed, point
-index, trial index), trials are run sequentially in a fixed order, and
-floats are formatted canonically, so identical specs produce byte
-identical files.
+Every experiment is described by an ExperimentSpec.  Its descriptor runs
+the seeded trials of one parameter point at a time, and each point becomes
+one CSV row aggregated over its trials.  Each function group (one per bit
+pattern in or-reduction, one otherwise) then gets one summary row with the
+log-log slope fitted over the group's rows whose y is positive, on the axes
+the descriptor writes to --plot-out; with fewer than three such rows the
+group has no summary.  Trial generators are derived deterministically from
+(master_seed, point index, trial index), trials are run sequentially in a
+fixed order, and floats are formatted canonically, so identical specs
+produce byte identical files.
 
 Error scoring follows the order-statistic convention: the error quantile
 at level theta is the ceil((1-theta) * trials)-th smallest absolute error,
@@ -63,14 +66,25 @@ CSV_COLUMNS = (
     "r2",
 )
 
-DESCRIPTORS = (
-    "qsearch-scaling",
-    "maxfind-success",
-    "holder-error-vs-n",
-    "holder-queries-vs-eps",
-    "baseline-queries-vs-eps",
-    "or-reduction",
-)
+# The (x, y) columns each descriptor plots and fits; x = "n" means the
+# points are spec.sizes, x = "epsilon" means spec.eps_values.
+_PLOT_AXES = {
+    "qsearch-scaling": ("n", "mean_quantum_queries"),
+    "maxfind-success": ("n", "mean_quantum_queries"),
+    "holder-error-vs-n": ("n", "error_quantile_theta25"),
+    "holder-queries-vs-eps": ("epsilon", "mean_quantum_queries"),
+    "baseline-queries-vs-eps": ("epsilon", "mean_classical_queries"),
+    "or-reduction": ("n", "mean_quantum_queries"),
+}
+
+DESCRIPTORS = tuple(_PLOT_AXES)
+
+_BIT_PATTERNS = {
+    "zeros": lambda size, rng: np.zeros(size, dtype=int),
+    "one": lambda size, rng: (np.arange(size) == rng.integers(0, size)).astype(int),
+    "random": lambda size, rng: rng.integers(0, 2, size=size),
+    "ones": lambda size, rng: np.ones(size, dtype=int),
+}
 
 
 @dataclass(frozen=True)
@@ -121,6 +135,8 @@ def binomial_margin(p: float, trials: int, sigmas: float = 3.0) -> float:
 
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-trial generator from the master seed and a key path."""
+    if master_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -132,7 +148,7 @@ class ExperimentSpec:
     sizes holds per-point n values (sequence lengths, subdivisions per
     axis, or bit counts depending on the descriptor); eps_values holds
     target accuracies for the accuracy-driven experiments.  patterns only
-    applies to or-reduction.
+    applies to or-reduction: distinct names among zeros, one, random, ones.
     """
 
     descriptor: str
@@ -153,6 +169,12 @@ class ExperimentSpec:
         if any(n < 1 for n in self.sizes):
             raise ValueError(f"sizes must be positive integers, got {self.sizes}")
         _check_h_conf(self.h_conf)
+        names = set(self.patterns)
+        if not names or len(names) < len(self.patterns) or not names <= _BIT_PATTERNS.keys():
+            raise ValueError(
+                f"patterns must be distinct names among {', '.join(_BIT_PATTERNS)}, "
+                f"got {','.join(self.patterns)!r}"
+            )
 
 
 def _fmt(v) -> str:
@@ -171,16 +193,6 @@ def write_csv(rows: list[dict], path) -> None:
         w.writerow(CSV_COLUMNS)
         for row in rows:
             w.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
-
-
-_PLOT_AXES = {
-    "qsearch-scaling": ("n", "mean_quantum_queries"),
-    "maxfind-success": ("n", "mean_quantum_queries"),
-    "holder-error-vs-n": ("n", "error_quantile_theta25"),
-    "holder-queries-vs-eps": ("epsilon", "mean_quantum_queries"),
-    "baseline-queries-vs-eps": ("epsilon", "mean_classical_queries"),
-    "or-reduction": ("n", "mean_quantum_queries"),
-}
 
 
 def write_plot_data(rows: list[dict], path, descriptor: str) -> None:
@@ -206,257 +218,143 @@ def _base_row(spec: ExperimentSpec) -> dict:
     }
 
 
-def _summary_row(spec: ExperimentSpec, points) -> dict | None:
-    if len(points) < 3:
-        return None
-    slope, intercept, r2 = fit_loglog_slope(points)
-    row = _base_row(spec)
-    row.update({"slope": slope, "intercept": intercept, "r2": r2})
+_LEDGER_MEANS = {
+    "mean_quantum_queries": "quantum_queries",
+    "mean_classical_queries": "classical_queries",
+    "mean_evaluations": "evaluations",
+}
+
+
+def _point_row(spec: ExperimentSpec, fields: dict, outcomes: list, columns) -> dict:
+    """One CSV row from a point's fixed fields and its (ledger, hit, error) trials.
+
+    Every row reports success_rate; columns names which of the ledger
+    means and the error quantile it reports as well.
+    """
+    ledgers, hits, errors = zip(*outcomes)
+    trials = len(outcomes)
+    row = {**_base_row(spec), "trials": trials, **fields}
+    row["success_rate"] = sum(int(hit) for hit in hits) / trials
+    for col in columns:
+        if col in _LEDGER_MEANS:
+            counts = np.array([getattr(lg, _LEDGER_MEANS[col]) for lg in ledgers], dtype=float)
+            row[col] = float(counts.mean())
+        else:
+            row[col] = estimate_error_quantile(errors, spec.theta).epsilon_hat
     return row
 
 
-def _exp_qsearch_scaling(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    points = []
+def _summary_rows(spec: ExperimentSpec, rows: list[dict]) -> list[dict]:
+    """One log-log fit per function group, over its rows with positive y."""
+    xcol, ycol = _PLOT_AXES[spec.descriptor]
+    groups: dict[str, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(row["function"], []).append(row)
+    summaries = []
+    for function, group in groups.items():
+        points = [(row[xcol], row[ycol]) for row in group if row[ycol] > 0.0]
+        if len(points) >= 3:
+            slope, intercept, r2 = fit_loglog_slope(points)
+            summary = {**_base_row(spec), "function": function, "trials": group[0]["trials"]}
+            summary.update({"slope": slope, "intercept": intercept, "r2": r2})
+            summaries.append(summary)
+    return summaries
+
+
+# Each descriptor yields, per point, (fixed fields, per-trial outcomes,
+# reported columns) for _point_row.
+
+_QUANTUM_CLASSICAL = ("mean_quantum_queries", "mean_classical_queries")
+_MAXIMIZER_COLUMNS = _QUANTUM_CLASSICAL + ("mean_evaluations", "error_quantile_theta25")
+
+
+def _qsearch_scaling(spec: ExperimentSpec):
     for p, size in enumerate(spec.sizes):
         budget = math.ceil(spec.search.budget_factor * math.sqrt(size))
-        q_used = np.empty(spec.trials)
-        found = 0
+        outcomes = []
         for t in range(spec.trials):
             rng = trial_rng(spec.master_seed, p, t)
             target = int(rng.integers(0, size))
             ledger = QueryLedger()
-            pred = MarkPredicate(size, lambda i, m=target: i == m, ledger)
-            idx = qsearch(pred, rng, spec.search, budget)
-            q_used[t] = ledger.quantum_queries
-            found += int(idx == target)
-        row = _base_row(spec)
-        row.update(
-            {
-                "function": "single-mark",
-                "n": size,
-                "success_rate": found / spec.trials,
-                "mean_quantum_queries": float(q_used.mean()),
-            }
-        )
-        rows.append(row)
-        points.append((size, float(q_used.mean())))
-    summary = _summary_row(spec, points)
-    if summary is not None:
-        summary["function"] = "single-mark"
-        rows.append(summary)
-    return rows
+            pred = MarkPredicate(size, np.arange(size) == target, ledger)
+            outcomes.append((ledger, qsearch(pred, rng, spec.search, budget) == target, None))
+        yield {"function": "single-mark", "n": size}, outcomes, ("mean_quantum_queries",)
 
 
-def _exp_maxfind_success(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    points = []
+def _maxfind_success(spec: ExperimentSpec):
     for p, size in enumerate(spec.sizes):
-        truth = (size - 1) / size
-        q_used = np.empty(spec.trials)
-        c_used = np.empty(spec.trials)
-        hits = 0
+        outcomes = []
         for t in range(spec.trials):
             rng = trial_rng(spec.master_seed, p, t)
-            values = rng.permutation(size) / size
-            oracle = SequenceOracle(values)
-            res = find_maximum(oracle, rng, spec.search)
-            hits += int(res.value == truth)
-            q_used[t] = res.ledger.quantum_queries
-            c_used[t] = res.ledger.classical_queries
-        row = _base_row(spec)
-        row.update(
-            {
-                "function": "permutation",
-                "n": size,
-                "success_rate": hits / spec.trials,
-                "mean_quantum_queries": float(q_used.mean()),
-                "mean_classical_queries": float(c_used.mean()),
-            }
-        )
-        rows.append(row)
-        points.append((size, float(q_used.mean())))
-    summary = _summary_row(spec, points)
-    if summary is not None:
-        summary["function"] = "permutation"
-        rows.append(summary)
-    return rows
+            res = find_maximum(SequenceOracle(rng.permutation(size) / size), rng, spec.search)
+            outcomes.append((res.ledger, res.value == (size - 1) / size, None))
+        yield {"function": "permutation", "n": size}, outcomes, _QUANTUM_CLASSICAL
 
 
-def _run_maximize_point(spec: ExperimentSpec, p: int, n: int | None, eps: float | None):
-    """Shared trial loop for the quantum maximizer experiments."""
-    errors = np.empty(spec.trials)
-    q_used = np.empty(spec.trials)
-    c_used = np.empty(spec.trials)
-    e_used = np.empty(spec.trials)
-    hits = 0
+def _error_bound(spec: ExperimentSpec, n: int) -> float:
+    """(h_conf + 1) (1/n)^(r+rho): the accuracy n subdivisions per axis promise."""
     h_conf = spec.h_conf if spec.h_conf is not None else default_h_conf(spec.d, spec.r)
+    return (h_conf + 1.0) * (1.0 / n) ** (spec.r + spec.rho)
+
+
+def _maximize_trials(spec: ExperimentSpec, p: int, n: int) -> list:
+    """The quantum maximizer's trials at point p, on n subdivisions per axis."""
+    bound = _error_bound(spec, n)
+    params = MaximizerParams(n_override=n, h_conf=spec.h_conf, search=spec.search)
+    outcomes = []
     for t in range(spec.trials):
         inst_rng = trial_rng(spec.master_seed, p, t, 0)
-        alg_rng = trial_rng(spec.master_seed, p, t, 1)
         f = make_function(spec.function, spec.d, spec.r, spec.rho, rng=inst_rng)
-        params = MaximizerParams(
-            epsilon=eps, n_override=n, h_conf=spec.h_conf, search=spec.search
-        )
-        res = quantum_maximize(f, params, alg_rng)
-        n_eff = n if n is not None else choose_n(eps, spec.d, spec.r, spec.rho, spec.h_conf)
+        res = quantum_maximize(f, params, trial_rng(spec.master_seed, p, t, 1))
         err = abs(res.value - f.known_max)
-        errors[t] = err
-        bound = (h_conf + 1.0) * (1.0 / n_eff) ** (spec.r + spec.rho)
-        hits += int(err <= bound)
-        q_used[t] = res.ledger.quantum_queries
-        c_used[t] = res.ledger.classical_queries
-        e_used[t] = res.ledger.evaluations
-    return errors, q_used, c_used, e_used, hits
+        outcomes.append((res.ledger, err <= bound, err))
+    return outcomes
 
 
-def _exp_error_vs_n(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    points = []
+def _error_vs_n(spec: ExperimentSpec):
     for p, n in enumerate(spec.sizes):
-        errors, q_used, c_used, e_used, hits = _run_maximize_point(spec, p, n, None)
-        quant = estimate_error_quantile(errors, spec.theta).epsilon_hat
-        row = _base_row(spec)
-        row.update(
-            {
-                "n": n,
-                "N": n**spec.d,
-                "success_rate": hits / spec.trials,
-                "mean_quantum_queries": float(q_used.mean()),
-                "mean_classical_queries": float(c_used.mean()),
-                "mean_evaluations": float(e_used.mean()),
-                "error_quantile_theta25": quant,
-            }
-        )
-        rows.append(row)
-        if quant > 0.0:
-            points.append((n, quant))
-    summary = _summary_row(spec, points)
-    if summary is not None:
-        rows.append(summary)
-    return rows
+        yield {"n": n, "N": n**spec.d}, _maximize_trials(spec, p, n), _MAXIMIZER_COLUMNS
 
 
-def _exp_queries_vs_eps(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    points = []
+def _queries_vs_eps(spec: ExperimentSpec):
     for p, eps in enumerate(spec.eps_values):
         n = choose_n(eps, spec.d, spec.r, spec.rho, spec.h_conf)
-        errors, q_used, c_used, e_used, hits = _run_maximize_point(spec, p, None, eps)
-        quant = estimate_error_quantile(errors, spec.theta).epsilon_hat
-        row = _base_row(spec)
-        row.update(
-            {
-                "n": n,
-                "N": n**spec.d,
-                "epsilon": eps,
-                "success_rate": hits / spec.trials,
-                "mean_quantum_queries": float(q_used.mean()),
-                "mean_classical_queries": float(c_used.mean()),
-                "mean_evaluations": float(e_used.mean()),
-                "error_quantile_theta25": quant,
-            }
-        )
-        rows.append(row)
-        points.append((eps, float(q_used.mean())))
-    summary = _summary_row(spec, points)
-    if summary is not None:
-        rows.append(summary)
-    return rows
+        fields = {"n": n, "N": n**spec.d, "epsilon": eps}
+        yield fields, _maximize_trials(spec, p, n), _MAXIMIZER_COLUMNS
 
 
-def _exp_baseline_queries(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    points = []
+def _baseline_queries(spec: ExperimentSpec):
     for p, eps in enumerate(spec.eps_values):
         n = choose_n(eps, spec.d, spec.r, spec.rho, spec.h_conf)
         inst_rng = trial_rng(spec.master_seed, p, 0, 0)
         f = make_function(spec.function, spec.d, spec.r, spec.rho, rng=inst_rng)
         res = grid_maximize(f, n)
         err = abs(res.value - f.known_max)
-        h_conf = spec.h_conf if spec.h_conf is not None else default_h_conf(spec.d, spec.r)
-        bound = (h_conf + 1.0) * (1.0 / n) ** (spec.r + spec.rho)
-        row = _base_row(spec)
-        row.update(
-            {
-                "n": n,
-                "N": n**spec.d,
-                "epsilon": eps,
-                "trials": 1,
-                "success_rate": float(err <= bound),
-                "mean_classical_queries": float(res.ledger.classical_queries),
-                "mean_evaluations": float(res.ledger.evaluations),
-                "error_quantile_theta25": err,
-            }
-        )
-        rows.append(row)
-        points.append((eps, float(res.ledger.classical_queries)))
-    summary = _summary_row(spec, points)
-    if summary is not None:
-        summary["trials"] = 1
-        rows.append(summary)
-    return rows
+        fields = {"n": n, "N": n**spec.d, "epsilon": eps}
+        # one classical grid scan: no quantum column
+        yield fields, [(res.ledger, err <= _error_bound(spec, n), err)], _MAXIMIZER_COLUMNS[1:]
 
 
-def _make_bits(pattern: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    if pattern == "zeros":
-        return np.zeros(size, dtype=int)
-    if pattern == "one":
-        bits = np.zeros(size, dtype=int)
-        bits[int(rng.integers(0, size))] = 1
-        return bits
-    if pattern == "random":
-        return rng.integers(0, 2, size=size)
-    if pattern == "ones":
-        return np.ones(size, dtype=int)
-    raise ValueError(f"unknown bit pattern {pattern!r}")
-
-
-def _exp_or_reduction(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    points = {}
+def _or_reduction(spec: ExperimentSpec):
+    params = MaximizerParams(h_conf=spec.h_conf, search=spec.search)
     for pi, pattern in enumerate(spec.patterns):
         for p, size in enumerate(spec.sizes):
-            q_used = np.empty(spec.trials)
-            c_used = np.empty(spec.trials)
-            hits = 0
+            outcomes = []
             for t in range(spec.trials):
                 rng = trial_rng(spec.master_seed, pi, p, t)
-                bits = _make_bits(pattern, size, rng)
-                mparams = MaximizerParams(h_conf=spec.h_conf, search=spec.search)
-                bit, res, _ = or_trial(
-                    bits, None, mparams, rng, d=spec.d, r=spec.r, rho=spec.rho
-                )
-                hits += int(bit == int(bits.max()))
-                q_used[t] = res.ledger.quantum_queries
-                c_used[t] = res.ledger.classical_queries
-            row = _base_row(spec)
-            row.update(
-                {
-                    "function": f"bits-{pattern}",
-                    "n": size,
-                    "success_rate": hits / spec.trials,
-                    "mean_quantum_queries": float(q_used.mean()),
-                    "mean_classical_queries": float(c_used.mean()),
-                }
-            )
-            rows.append(row)
-            points.setdefault(pattern, []).append((size, float(q_used.mean())))
-    for pattern in spec.patterns:
-        summary = _summary_row(spec, points.get(pattern, []))
-        if summary is not None:
-            summary["function"] = f"bits-{pattern}"
-            rows.append(summary)
-    return rows
+                bits = _BIT_PATTERNS[pattern](size, rng)
+                bit, res, _ = or_trial(bits, None, params, rng, d=spec.d, r=spec.r, rho=spec.rho)
+                outcomes.append((res.ledger, bit == int(bits.max()), None))
+            yield {"function": f"bits-{pattern}", "n": size}, outcomes, _QUANTUM_CLASSICAL
 
 
 _RUNNERS = {
-    "qsearch-scaling": _exp_qsearch_scaling,
-    "maxfind-success": _exp_maxfind_success,
-    "holder-error-vs-n": _exp_error_vs_n,
-    "holder-queries-vs-eps": _exp_queries_vs_eps,
-    "baseline-queries-vs-eps": _exp_baseline_queries,
-    "or-reduction": _exp_or_reduction,
+    "qsearch-scaling": _qsearch_scaling,
+    "maxfind-success": _maxfind_success,
+    "holder-error-vs-n": _error_vs_n,
+    "holder-queries-vs-eps": _queries_vs_eps,
+    "baseline-queries-vs-eps": _baseline_queries,
+    "or-reduction": _or_reduction,
 }
 
 
@@ -468,17 +366,13 @@ def run_experiment(spec: ExperimentSpec, out_path=None, plot_path=None) -> list[
         )
     if spec.trials < 1:
         raise ValueError("trials must be positive")
-    needs_sizes = spec.descriptor in (
-        "qsearch-scaling",
-        "maxfind-success",
-        "holder-error-vs-n",
-        "or-reduction",
-    )
-    if needs_sizes and not spec.sizes:
-        raise ValueError(f"{spec.descriptor} needs a non-empty sizes list")
-    if not needs_sizes and not spec.eps_values:
+    if _PLOT_AXES[spec.descriptor][0] == "n":
+        if not spec.sizes:
+            raise ValueError(f"{spec.descriptor} needs a non-empty sizes list")
+    elif not spec.eps_values:
         raise ValueError(f"{spec.descriptor} needs a non-empty eps_values list")
-    rows = _RUNNERS[spec.descriptor](spec)
+    rows = [_point_row(spec, *point) for point in _RUNNERS[spec.descriptor](spec)]
+    rows += _summary_rows(spec, rows)
     if out_path is not None:
         write_csv(rows, out_path)
     if plot_path is not None:

@@ -18,9 +18,7 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
-from .bench import ExperimentSpec, run_experiment
+from .bench import ExperimentSpec, run_experiment, trial_rng
 from .functions import available_functions, make_function
 from .maximizer import MaximizerParams, quantum_maximize
 from .search import SearchParams
@@ -226,7 +224,7 @@ def _run_spec(args: argparse.Namespace, descriptor: str) -> int:
 def _cmd_holder_max(args: argparse.Namespace) -> int:
     if args.n is None and args.eps is None:
         raise ValueError("holder-max needs --n or --eps")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+    rng = trial_rng(args.seed)
     f = make_function(args.function, args.d, args.r, args.rho, rng=rng)
     params = MaximizerParams(
         epsilon=args.eps,

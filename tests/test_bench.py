@@ -225,3 +225,53 @@ def test_search_params_flow_into_experiments():
     )
     rows2 = run_experiment(spec2)
     assert rows2[0]["mean_quantum_queries"] > rows1[0]["mean_quantum_queries"]
+
+
+_POINT = ("experiment", "function", "d", "r", "rho", "n", "trials", "master_seed", "success_rate")
+_SUMMARY = ("experiment", "function", "d", "r", "rho", "trials", "master_seed",
+            "slope", "intercept", "r2")
+_QC = ("mean_quantum_queries", "mean_classical_queries")
+_MAXIMIZER = ("N", "epsilon") + _QC + ("mean_evaluations", "error_quantile_theta25")
+
+
+@pytest.mark.parametrize(
+    "spec, point_columns",
+    [
+        (ExperimentSpec("qsearch-scaling", sizes=(4, 8, 16), trials=3),
+         _POINT + ("mean_quantum_queries",)),
+        (ExperimentSpec("maxfind-success", sizes=(4, 8, 16), trials=2), _POINT + _QC),
+        (ExperimentSpec("holder-error-vs-n", sizes=(4, 8, 16), trials=2),
+         _POINT + tuple(c for c in _MAXIMIZER if c != "epsilon")),
+        (ExperimentSpec("holder-queries-vs-eps", eps_values=(0.2, 0.1, 0.05), trials=2),
+         _POINT + _MAXIMIZER),
+        (ExperimentSpec("baseline-queries-vs-eps", eps_values=(0.2, 0.1, 0.05)),
+         _POINT + tuple(c for c in _MAXIMIZER if c != "mean_quantum_queries")),
+        (ExperimentSpec("or-reduction", sizes=(4, 8, 16), trials=1, patterns=("one", "zeros")),
+         _POINT + _QC),
+    ],
+    ids=DESCRIPTORS,
+)
+def test_descriptor_fills_its_csv_columns(spec, point_columns, tmp_path):
+    path = tmp_path / "out.csv"
+    run_experiment(spec, out_path=path)
+    header, *lines = [line.split(",") for line in path.read_text().splitlines()]
+    filled = [{col for col, cell in zip(header, cells) if cell} for cells in lines]
+    summaries = [cols for cols in filled if "slope" in cols]
+    points = [cols for cols in filled if "slope" not in cols]
+    groups = len(spec.patterns) if spec.descriptor == "or-reduction" else 1
+    assert len(summaries) == groups
+    assert len(points) == groups * 3
+    assert all(cols == set(point_columns) for cols in points)
+    assert all(cols == set(_SUMMARY) for cols in summaries)
+
+
+@pytest.mark.parametrize("descriptor", ["qsearch-scaling", "maxfind-success"])
+def test_size_one_point_is_left_out_of_the_fit(descriptor):
+    # one index costs no quantum query, so its y = 0 cannot enter a log-log fit
+    rows = run_experiment(ExperimentSpec(descriptor, sizes=(1, 16, 64, 256), trials=4))
+    assert [r.get("n") for r in rows] == [1, 16, 64, 256, None]
+    assert rows[0]["mean_quantum_queries"] == 0.0
+    points = [(r["n"], r["mean_quantum_queries"]) for r in rows[1:4]]
+    assert rows[-1]["slope"] == fit_loglog_slope(points)[0]
+    assert run_experiment(ExperimentSpec(descriptor, sizes=(1, 16, 64), trials=4))[-1]["n"] == 64
+

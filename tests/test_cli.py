@@ -198,6 +198,13 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["holder-max", "--eps", "0.1", "--h-conf", "inf"], "h_conf"),
         (["scaling", "--kind", "error-vs-n", "--n", "4,8,16", "--trials", "2",
           "--h-conf", "nan"], "h_conf"),
+        (["holder-max", "--n", "4", "--seed", "-1"], "seed"),
+        (["qsearch-bench", "--n", "16", "--trials", "2", "--seed", "-1"], "seed"),
+        (["lowerbound-demo", "--n", "8", "--patterns", ","], "patterns"),
+        (["lowerbound-demo", "--n", "8", "--trials", "2", "--patterns", "one,bogus"],
+         "patterns"),
+        (["lowerbound-demo", "--n", "8", "--trials", "2", "--patterns", "one,one"],
+         "patterns"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):
@@ -206,3 +213,14 @@ def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):
     assert out == ""
     assert err.startswith(f"qfmax: error: {names}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["qsearch-bench", "maxfind-bench"])
+def test_size_one_point_still_gets_rows_and_a_summary(command, capsys):
+    code, out, _ = run_cli([command, "--n", "1,16,64", "--trials", "3"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    code, out, _ = run_cli([command, "--n", "1,16,64,256", "--trials", "3"], capsys)
+    assert code == 0
+    assert "n=1  " in out
+    assert out.splitlines()[-1].startswith("[summary]")

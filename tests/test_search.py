@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfmax.bench import fit_loglog_slope, trial_rng
 from qfmax.qcore import MarkPredicate, QueryLedger
@@ -186,6 +188,39 @@ def test_find_maximum_threshold_chain_strictly_increases():
             assert chain
             for lo, hi in zip(chain, chain[1:]):
                 assert hi > lo
+
+
+@st.composite
+def _searches(draw):
+    n = draw(st.integers(1, 300))
+    levels = draw(st.integers(1, 6))  # few distinct values, so ties are common
+    values = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    params = SearchParams(
+        lambda_=draw(st.floats(1.0, 4.0 / 3.0, exclude_min=True)),
+        budget_factor=draw(st.floats(0.1, 30.0)),
+        boost_rounds=draw(st.integers(1, 4)),
+    )
+    return values, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_searches(), st.sampled_from(["max", "min"]))
+def test_extremum_search_invariants(case, direction):
+    values, params, seed = case
+    search, best, sign = {"max": (find_maximum, max, 1.0), "min": (find_minimum, min, -1.0)}[
+        direction
+    ]
+    rounds: list[list[float]] = []
+    res = search(SequenceOracle(values), np.random.default_rng(seed), params, rounds)
+    # qsearch clamps each round to its exact budget, so there is no per-round slack
+    budget = math.ceil(params.budget_factor * math.sqrt(values.size))
+    assert res.ledger.quantum_queries <= params.boost_rounds * budget
+    assert len(rounds) == params.boost_rounds
+    for chain in rounds:
+        assert chain
+        assert all(sign * (b - a) > 0.0 for a, b in zip(chain, chain[1:]))
+    assert res.value == values[res.witness]
+    assert res.value == best(chain[-1] for chain in rounds)
 
 
 def test_find_minimum_single_element():
