@@ -9,7 +9,8 @@ from the OR of n bits that shows the query exponent is tight.
 
 Layer map:
 
-- qcore: statevector simulation of the amplification primitive
+- qcore: the amplification primitive on two class amplitudes, with a
+  statevector reference
 - search: unstructured search and sequence maximum finding
 - holder: function classes, grids, local polynomial models, bump families
 - maximizer: accuracy-driven maximization of real functions
@@ -64,7 +65,7 @@ from .qcore import (
     measure,
     uniform_state,
 )
-from .reduction import decision_rule, embed_bits, or_trial, or_via_maximizer
+from .reduction import decision_rule, embed_bits, or_trial
 from .search import MaxResult, SearchParams, SequenceOracle, find_maximum, find_minimum, qsearch
 
 __version__ = "0.1.0"
@@ -109,7 +110,6 @@ __all__ = [
     "membership_check",
     "multi_indices",
     "or_trial",
-    "or_via_maximizer",
     "qsearch",
     "quantum_maximize",
     "random_maximize",

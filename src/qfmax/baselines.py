@@ -12,26 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .holder import HolderFunction, build_grid
-from .maximizer import local_max_at
+from .holder import HolderFunction, _cell_scale, build_grid
+from .maximizer import local_max_at, local_max_values
 from .qcore import QueryLedger
 from .search import MaxResult
 
 __all__ = ["grid_maximize", "random_maximize"]
 
 
-def grid_maximize(
-    f: HolderFunction,
-    n: int,
-    eps1: float | None = None,
-    max_cubes: int = 2**24,
-) -> MaxResult:
+def grid_maximize(f: HolderFunction, n: int) -> MaxResult:
     """Deterministic exhaustive scan over all n^d local model maxima."""
-    grid = build_grid(n, f.d, max_cubes)
-    if eps1 is None:
-        eps1 = grid.h ** (f.r + f.rho)
+    grid = build_grid(n, f.d)
     ledger = QueryLedger()
-    vals = local_max_at(f, grid.centers(), 0.5 * grid.h, eps1, ledger)
+    vals = local_max_values(f, grid, _cell_scale(f, grid), ledger)
     ledger.classical_queries += grid.N
     i = int(np.argmax(vals))
     return MaxResult(
@@ -47,8 +40,6 @@ def random_maximize(
     n: int,
     budget: int,
     rng: np.random.Generator,
-    eps1: float | None = None,
-    max_cubes: int = 2**24,
 ) -> MaxResult:
     """Best local model maximum over ``budget`` cells sampled uniformly.
 
@@ -57,15 +48,13 @@ def random_maximize(
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    grid = build_grid(n, f.d, max_cubes)
-    if eps1 is None:
-        eps1 = grid.h ** (f.r + f.rho)
+    grid = build_grid(n, f.d)
     k = min(budget, grid.N)
     chosen = rng.choice(grid.N, size=k, replace=False)
     chosen.sort()
     centers = grid.centers()[chosen]
     ledger = QueryLedger()
-    vals = local_max_at(f, centers, 0.5 * grid.h, eps1, ledger)
+    vals = local_max_at(f, centers, 0.5 * grid.h, _cell_scale(f, grid), ledger)
     ledger.classical_queries += k
     j = int(np.argmax(vals))
     return MaxResult(

@@ -5,15 +5,16 @@ the seeded trials of one parameter point at a time, and each point becomes
 one CSV row aggregated over its trials.  Each function group (one per bit
 pattern in or-reduction, one otherwise) then gets one summary row with the
 log-log slope fitted over the group's rows whose y is positive, on the axes
-the descriptor writes to --plot-out; with fewer than three such rows the
-group has no summary.  Trial generators are derived deterministically from
-(master_seed, point index, trial index), trials are run sequentially in a
-fixed order, and floats are formatted canonically, so identical specs
-produce byte identical files.
+the descriptor writes to --plot-out; with fewer than three such rows, or
+with all of them at one x, the group has no summary.  Trial generators are
+derived deterministically from (master_seed, point index, trial index),
+trials are run sequentially in a fixed order, and floats are formatted
+canonically, so identical specs produce byte identical files.
 
 Error scoring follows the order-statistic convention: the error quantile
 at level theta is the ceil((1-theta) * trials)-th smallest absolute error,
 i.e. the smallest epsilon exceeded with empirical frequency at most theta.
+Experiments report it at theta = 1/4 (column error_quantile_theta25).
 """
 
 from __future__ import annotations
@@ -160,7 +161,6 @@ class ExperimentSpec:
     eps_values: tuple[float, ...] = ()
     trials: int = 200
     master_seed: int = 1
-    theta: float = 0.25
     search: SearchParams = field(default_factory=SearchParams)
     h_conf: float | None = None
     patterns: tuple[str, ...] = ("zeros", "one", "random")
@@ -240,7 +240,7 @@ def _point_row(spec: ExperimentSpec, fields: dict, outcomes: list, columns) -> d
             counts = np.array([getattr(lg, _LEDGER_MEANS[col]) for lg in ledgers], dtype=float)
             row[col] = float(counts.mean())
         else:
-            row[col] = estimate_error_quantile(errors, spec.theta).epsilon_hat
+            row[col] = estimate_error_quantile(errors).epsilon_hat
     return row
 
 
@@ -253,7 +253,7 @@ def _summary_rows(spec: ExperimentSpec, rows: list[dict]) -> list[dict]:
     summaries = []
     for function, group in groups.items():
         points = [(row[xcol], row[ycol]) for row in group if row[ycol] > 0.0]
-        if len(points) >= 3:
+        if len(points) >= 3 and len({x for x, _ in points}) >= 2:
             slope, intercept, r2 = fit_loglog_slope(points)
             summary = {**_base_row(spec), "function": function, "trials": group[0]["trials"]}
             summary.update({"slope": slope, "intercept": intercept, "r2": r2})

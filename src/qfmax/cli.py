@@ -2,7 +2,9 @@
 
 Defaults may be collected in a config file of ``key = value`` lines
 (# comments allowed); flags given on the command line always win over
-the file.  Keys use the flag names without the leading dashes, e.g.::
+the file.  Keys use the flag names without the leading dashes, and each
+value is parsed like the flag's value; keys that only other subcommands
+take are ignored, e.g.::
 
     trials = 500
     budget-factor = 30
@@ -79,8 +81,7 @@ def _add_holder(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Abbreviated flags are refused: _apply_config tells given flags from
-    # file defaults by their literal --name.
+    # Flags must be spelled in full, on the command line and as config keys.
     parser = argparse.ArgumentParser(
         prog="qfmax",
         description="Benchmarks for quantum maximum finding over smoothness classes.",
@@ -122,44 +123,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
-    """Fill args from the config file for flags not given on the command line."""
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv, with the --config file's values ahead of the command line's flags.
+
+    Each file value becomes one --key=value token of the subcommand, so it
+    is typed and checked like the flag, and a flag given on the command
+    line, parsed later, wins.  Keys of other subcommands are ignored.
+    """
+    args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
-        return
-    file_values = read_config(args.config)
-    converters = {
-        "seed": int,
-        "trials": int,
-        "out": str,
-        "plot-out": str,
-        "boost-rounds": int,
-        "lambda": float,
-        "budget-factor": float,
-        "function": str,
-        "d": int,
-        "r": int,
-        "rho": float,
-        "h-conf": float,
-        "kind": str,
-        "patterns": str,
-        "n": _int_list,
-        "eps": _float_list,
-    }
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    for key, raw in file_values.items():
-        if key not in converters:
+        return args
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    own = sub.choices[args.command]._option_string_actions
+    known = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+    tokens = []
+    for key, value in read_config(args.config).items():
+        if f"--{key}" not in known or key == "config":
             raise ValueError(f"unknown config key {key!r}")
-        if f"--{key}" in given:
-            continue
-        dest = {"lambda": "lambda_", "plot-out": "plot_out"}.get(key, key.replace("-", "_"))
-        if not hasattr(args, dest):
-            continue
-        value = converters[key](raw)
-        if dest == "n" and args.command == "holder-max":
-            value = int(raw)
-        if dest == "eps" and args.command == "holder-max":
-            value = float(raw)
-        setattr(args, dest, value)
+        if f"--{key}" in own:
+            tokens.append(f"--{key}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _search_params(args: argparse.Namespace) -> SearchParams:
@@ -250,11 +234,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config(args, parser, argv)
+        args = _parse(parser, argv)
         if args.command == "list-functions":
             for name in available_functions():
                 print(name)
@@ -270,6 +250,8 @@ def main(argv=None) -> int:
         if args.command == "lowerbound-demo":
             return _run_spec(args, "or-reduction")
         raise ValueError(f"unknown command {args.command!r}")
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"qfmax: error: {exc}", file=sys.stderr)
         return 2

@@ -185,12 +185,21 @@ class Grid:
         return np.ravel_multi_index(tuple(idx.T), (self.n,) * self.d)
 
 
-def build_grid(n: int, d: int, max_cubes: int = DEFAULT_MAX_CUBES) -> Grid:
+def build_grid(n: int, d: int) -> Grid:
+    """The n^d grid, refused up front above DEFAULT_MAX_CUBES cells."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if n**d > max_cubes:
-        raise ValueError(f"grid of {n}^{d} cubes exceeds the cap of {max_cubes}")
+    if n**d > DEFAULT_MAX_CUBES:
+        raise ValueError(f"grid of {n}^{d} cubes exceeds the cap of {DEFAULT_MAX_CUBES}")
     return Grid(n=n, d=d)
+
+
+def _cell_scale(f: HolderFunction, grid: Grid) -> float:
+    """(1/n)^(r+rho): the order of f's model error on one cell of the grid.
+
+    It is also the tolerance eps1 to which each cell's model is maximized.
+    """
+    return grid.h ** (f.r + f.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +221,6 @@ class TaylorModel:
     def coeff(self, alpha: tuple[int, ...]) -> float:
         alpha = tuple(int(a) for a in alpha)
         return float(self.coeffs[self.alphas.index(alpha)])
-
-    @property
-    def degree(self) -> int:
-        return max(sum(a) for a in self.alphas)
 
 
 def taylor_tableau(
@@ -303,7 +308,7 @@ def remainder_bound_check(
         raise ValueError("samples must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    denom = grid.h ** (f.r + f.rho)
+    denom = _cell_scale(f, grid)
     cells = rng.integers(0, grid.N, size=samples)
     offs = (rng.random((samples, f.d)) - 0.5) * grid.h
     worst = 0.0
@@ -473,9 +478,6 @@ class BumpFamily:
             known_max=self.height,
             name=f"bump[{i}]",
         )
-
-    def members(self) -> list[HolderFunction]:
-        return [self.member(i) for i in range(self.n_bumps)]
 
     def max_height(self) -> float:
         return min(1.0, self.kappa * self.radius ** (self.r + self.rho))

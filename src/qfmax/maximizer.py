@@ -25,6 +25,7 @@ from .holder import (
     Grid,
     HolderFunction,
     TaylorModel,
+    _cell_scale,
     _monomial_sum,
     _poly_at_offsets,
     _power_table,
@@ -50,18 +51,14 @@ class MaximizerParams:
     """Configuration for quantum_maximize.
 
     Either epsilon (target accuracy, resolved through choose_n) or
-    n_override (explicit subdivisions per axis) must be set.  eps1
-    overrides the local-maximization tolerance, default (1/n)^(r+rho).
-    h_conf is the model-error constant used by choose_n, default
-    d^r / r!.
+    n_override (explicit subdivisions per axis) must be set.  h_conf is
+    the model-error constant used by choose_n, default d^r / r!.
     """
 
     epsilon: float | None = None
     n_override: int | None = None
-    eps1: float | None = None
     h_conf: float | None = None
     search: SearchParams = field(default_factory=SearchParams)
-    max_cubes: int = 2**24
 
     def __post_init__(self) -> None:
         _check_h_conf(self.h_conf)
@@ -448,15 +445,15 @@ def quantum_maximize(
         n = choose_n(params.epsilon, f.d, f.r, f.rho, params.h_conf)
     else:
         raise ValueError("either epsilon or n_override must be set")
-    grid = build_grid(n, f.d, params.max_cubes)
-    eps1 = params.eps1 if params.eps1 is not None else grid.h ** (f.r + f.rho)
+    grid = build_grid(n, f.d)
+    eps1 = _cell_scale(f, grid)
     h_conf = params.h_conf if params.h_conf is not None else default_h_conf(f.d, f.r)
     ledger = QueryLedger()
     table = _LocalMaxTable(f, grid, eps1, ledger)
     # Comparisons use values mapped into [0, 1] by v -> (v + B) / (2B) with
     # B = sup_bound + model-error slack + eps1, a strictly increasing map,
     # so thresholds behave exactly as on the raw values.
-    slack = eps1 + h_conf * max(1.0, f.seminorm_bound) * grid.h ** (f.r + f.rho)
+    slack = eps1 + h_conf * max(1.0, f.seminorm_bound) * eps1
     bound = f.sup_bound + slack
     span = 2.0 * bound
     acc = _Accessor(

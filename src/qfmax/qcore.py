@@ -1,4 +1,4 @@
-"""Statevector simulation of Grover-style amplitude amplification.
+"""Simulation of Grover-style amplitude amplification on class amplitudes.
 
 The register lives on an arbitrary finite index set {0, ..., N-1}; N is any
 positive integer, not only a power of two.  The diffusion operator
@@ -90,9 +90,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         a = self.amps
         return (a.real * a.real + a.imag * a.imag)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateVector(dim={self.dim})"

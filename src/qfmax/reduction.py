@@ -20,7 +20,7 @@ from .holder import BumpFamily, HolderFunction, _as_points, make_bump_family
 from .maximizer import MaximizerParams, quantum_maximize
 from .search import MaxResult
 
-__all__ = ["embed_bits", "decision_rule", "or_trial", "or_via_maximizer"]
+__all__ = ["embed_bits", "decision_rule", "or_trial"]
 
 
 def embed_bits(bits, family: BumpFamily) -> HolderFunction:
@@ -100,16 +100,3 @@ def or_trial(
     res = quantum_maximize(f, params, rng)
     return decision_rule(res.value, family.height), res, family.height
 
-
-def or_via_maximizer(
-    bits,
-    epsilon1: float | None,
-    params: MaximizerParams | None,
-    rng: np.random.Generator,
-    d: int = 1,
-    r: int = 0,
-    rho: float = 1.0,
-) -> int:
-    """OR of the bit string, computed through the smooth maximizer."""
-    bit, _, _ = or_trial(bits, epsilon1, params, rng, d, r, rho)
-    return bit

@@ -72,7 +72,7 @@ class SequenceOracle:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must form a non-empty 1-d array")
-        if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("values must lie in [0, 1]")
         self.values = arr
 

@@ -119,7 +119,8 @@ def test_read_config_parsing(tmp_path):
 
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("trials = 7\nn = 16\nseed = 42\n")
+    # patterns and kind belong to other subcommands and are ignored here
+    cfg.write_text("trials = 7\nn = 16\nseed = 42\npatterns = one\nkind = error-vs-n\n")
     args = ["qsearch-bench", "--config", str(cfg)]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
@@ -143,6 +144,24 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(["qsearch-bench", "--config", str(cfg)], capsys)
     assert code == 2
     assert "bogus" in err
+    # a config file cannot name another one
+    cfg.write_text("config = other.cfg\n")
+    code, _, err = run_cli(["qsearch-bench", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "'config'" in err
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [("trials = abc", "--trials"), ("n = 16,x", "--n"), ("lambda = fast", "--lambda")],
+)
+def test_bad_config_value_names_its_flag(tmp_path, line, flag, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["qsearch-bench", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flag}:" in err
 
 
 def test_missing_config_file_is_parameter_error(capsys):
@@ -224,3 +243,13 @@ def test_size_one_point_still_gets_rows_and_a_summary(command, capsys):
     assert code == 0
     assert "n=1  " in out
     assert out.splitlines()[-1].startswith("[summary]")
+
+
+def test_repeated_sizes_keep_their_rows(tmp_path, capsys):
+    out_csv = tmp_path / "f.csv"
+    args = ["qsearch-bench", "--n", "64,64,64", "--trials", "2", "--out", str(out_csv)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out.count("n=64") == 3
+    assert "[summary]" not in out
+    assert len(out_csv.read_text().splitlines()) == 4

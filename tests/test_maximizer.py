@@ -349,9 +349,6 @@ def test_local_max_values_batch_matches_scalar_route(d, r):
 @pytest.mark.parametrize("r,eps1", [(3, 0.0), (0, -1.0), (1, float("nan"))])
 def test_non_positive_eps1_is_refused_up_front(r, eps1):
     f = make_function("cosprod", 1, r, 1.0)
-    params = MaximizerParams(n_override=4, eps1=eps1)
-    with pytest.raises(ValueError, match="eps1"):
-        quantum_maximize(f, params, np.random.default_rng(0))
     with pytest.raises(ValueError, match="eps1"):
         local_max_values(f, build_grid(4, 1), eps1)
 

@@ -8,7 +8,7 @@ import pytest
 from qfmax.bench import fit_loglog_slope, trial_rng
 from qfmax.holder import make_bump_family, membership_check
 from qfmax.maximizer import MaximizerParams
-from qfmax.reduction import decision_rule, embed_bits, or_trial, or_via_maximizer
+from qfmax.reduction import decision_rule, embed_bits, or_trial
 
 
 def brute_force_sum(bits, family, pts):
@@ -113,7 +113,7 @@ def test_or_explicit_height_and_params():
     height = 0.5 * fam.max_height()
     rng = trial_rng(77, 0)
     bits = np.array([0, 0, 0, 1, 0, 0, 0, 0])
-    bit = or_via_maximizer(bits, height, MaximizerParams(), rng)
+    bit = or_trial(bits, height, MaximizerParams(), rng)[0]
     assert bit == 1
 
 

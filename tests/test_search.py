@@ -52,6 +52,13 @@ def test_sequence_oracle_validation():
     assert orc.ledger.classical_queries == 1
 
 
+@pytest.mark.parametrize("values", [[math.nan, 0.2, 0.9, 0.1], [0.2, math.nan]])
+def test_sequence_oracle_refuses_nan(values):
+    # every comparison with NaN is false, so NaN slips past "min < 0 or max > 1"
+    with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+        SequenceOracle(values)
+
+
 def test_qsearch_no_marks_exhausts_budget_exactly():
     led = QueryLedger()
     pred = MarkPredicate(16, lambda i: False, led)
