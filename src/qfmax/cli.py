@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("scaling", help="scaling-law experiments over n or epsilon")
     _add_common(p)
     _add_holder(p)
-    p.add_argument("--kind", choices=sorted(_SCALING_KINDS), required=True)
+    # Checked after the config merge, so a config file may supply it.
+    p.add_argument("--kind", choices=sorted(_SCALING_KINDS), default=None)
     p.add_argument("--n", type=_int_list, default=[4, 8, 16, 32, 64])
     p.add_argument("--eps", type=_float_list, default=[0.2, 0.1, 0.05, 0.02, 0.01])
 
@@ -246,6 +247,8 @@ def main(argv=None) -> int:
         if args.command == "maxfind-bench":
             return _run_spec(args, "maxfind-success")
         if args.command == "scaling":
+            if args.kind is None:
+                raise ValueError("scaling needs --kind")
             return _run_spec(args, _SCALING_KINDS[args.kind])
         if args.command == "lowerbound-demo":
             return _run_spec(args, "or-reduction")

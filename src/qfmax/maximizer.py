@@ -405,14 +405,14 @@ class _LocalMaxTable:
         self._complete = False
 
     def value(self, i: int) -> float:
-        v = self._vals[i]
-        if np.isnan(v):
+        v = self._vals.item(i)
+        if v != v:  # NaN: the cell is not built yet
             center = self.grid.center(int(i))
             v = float(
                 local_max_at(self.f, center[None, :], 0.5 * self.grid.h, self.eps1, self.ledger)[0]
             )
             self._vals[i] = v
-        return float(v)
+        return v
 
     def values(self) -> np.ndarray:
         if not self._complete:
@@ -456,12 +456,17 @@ def quantum_maximize(
     slack = eps1 + h_conf * max(1.0, f.seminorm_bound) * eps1
     bound = f.sup_bound + slack
     span = 2.0 * bound
-    acc = _Accessor(
-        grid.N,
-        ledger,
-        lambda i: (table.value(i) + bound) / span,
-        lambda: (table.values() + bound) / span,
-    )
+    scaled = None
+
+    def all_scaled() -> np.ndarray:
+        # The complete table never changes, so every threshold's mask reads
+        # one scaled copy.
+        nonlocal scaled
+        if scaled is None:
+            scaled = (table.values() + bound) / span
+        return scaled
+
+    acc = _Accessor(grid.N, ledger, lambda i: (table.value(i) + bound) / span, all_scaled)
     budget = math.ceil(params.search.budget_factor * math.sqrt(grid.N))
     idx, _, success = _boosted_climb(acc, rng, params.search, budget)
     value = table.value(idx)

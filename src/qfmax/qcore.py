@@ -16,10 +16,13 @@ All operations are pure (they return new states) except for ledger counter
 increments.  Simulation work is not the cost model: only the ledger reflects
 query complexity.  The search runs on ClassState: from the uniform start,
 every step keeps one amplitude shared by all marked indices and one shared
-by all unmarked indices, so a step is O(1) and a measurement bisects the
-predicate's running mark count in O(log N).  StateVector holds all N
-amplitudes, a step touches every one of them, and it serves as the
-reference the two-amplitude state is checked against.
+by all unmarked indices.  Each predicate memoizes the chain of states its
+steps reach from the uniform start, each computed once by the recurrence,
+so a step is a lookup that still reads the truth table and charges one
+quantum query.  A measurement bisects the k sorted marked positions and
+solves the unmarked run after them in closed form, O(log k).  StateVector
+holds all N amplitudes, a step touches every one of them, and it serves as
+the reference the two-amplitude state is checked against.
 """
 
 from __future__ import annotations
@@ -99,21 +102,26 @@ class ClassState:
     """Grover state of the search, stored as two class amplitudes.
 
     Every marked index carries the real amplitude ``marked`` and every
-    unmarked index carries ``unmarked``.  ``counts`` is the running mark
-    count R[i] = #{marked indices <= i} of the predicate the state was
-    amplified under and ``k`` = R[dim-1] its marked count.  The uniform
-    start has ``counts`` None and ``k`` 0: its two amplitudes are equal,
-    so the marking does not matter yet.
+    unmarked index carries ``unmarked``.  ``positions`` holds the sorted
+    marked indices of the predicate the state was amplified under, ``k``
+    their number, and the state is entry ``step`` of that predicate's
+    chain of states reached from the uniform start.  The uniform start has
+    ``positions`` None and ``k`` 0: its two amplitudes are equal, so the
+    marking does not matter yet, and it may start under any predicate.
+    States are never modified, so chain entries are shared by every caller.
     """
 
-    __slots__ = ("dim", "marked", "unmarked", "counts", "k")
+    __slots__ = ("dim", "marked", "unmarked", "positions", "k", "step")
 
-    def __init__(self, dim: int, marked: float, unmarked: float, counts=None, k: int = 0) -> None:
+    def __init__(
+        self, dim: int, marked: float, unmarked: float, positions=None, step: int = 0
+    ) -> None:
         self.dim = dim
         self.marked = marked
         self.unmarked = unmarked
-        self.counts = counts
-        self.k = k
+        self.positions = positions
+        self.k = 0 if positions is None else positions.size
+        self.step = step
 
     @classmethod
     def uniform(cls, dim: int) -> "ClassState":
@@ -123,26 +131,53 @@ class ClassState:
         amp = 1.0 / math.sqrt(dim)
         return cls(dim, amp, amp)
 
+    def _successor(self) -> "ClassState":
+        """The state one step later: phase flip, then inversion about the mean."""
+        n, k = self.dim, self.k
+        flipped = -self.marked
+        mean = (k * flipped + (n - k) * self.unmarked) / n
+        return ClassState(
+            n, 2.0 * mean - flipped, 2.0 * mean - self.unmarked, self.positions, self.step + 1
+        )
+
     def locate(self, x: float) -> int:
         """First index whose cumulative probability exceeds x; dim-1 if none.
 
-        With a = marked and b = unmarked, the probability mass of indices
-        0..i is a^2 R[i] + b^2 (i+1-R[i]), non-decreasing in i, so bisection
-        finds the index that searchsorted over the cumsum of the full
-        probability vector would return.
+        With a = marked, b = unmarked and R[i] the number of marked indices
+        <= i, the probability mass of indices 0..i is
+        C(i) = a^2 R[i] + b^2 (i+1-R[i]).  Rounding is monotone, so C is
+        non-decreasing in i and the answer is that of searchsorted over the
+        cumsum of the full probability vector.  The t-th marked position
+        P[t] has C(P[t]) = a^2 (t+1) + b^2 (P[t]-t): bisecting those k
+        values finds t, the number of marked indices before the answer.
+        The answer then lies in the unmarked run after P[t-1], where
+        C(i) = a^2 t + b^2 (i+1-t) is solved by one division, corrected by
+        the same expression.  O(log k); O(1) when nothing is marked.
         """
         a2 = self.marked * self.marked
         b2 = self.unmarked * self.unmarked
-        counts = self.counts
-        lo, hi = 0, self.dim - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            r = 0 if counts is None else counts.item(mid)
-            if a2 * r + b2 * (mid + 1 - r) > x:
-                hi = mid
+        positions, k = self.positions, self.k
+        t, t_hi = 0, k
+        while t < t_hi:
+            mid = (t + t_hi) // 2
+            if a2 * (mid + 1) + b2 * (positions.item(mid) - mid) > x:
+                t_hi = mid
             else:
-                lo = mid + 1
-        return lo
+                t = mid + 1
+        lo = 0 if t == 0 else positions.item(t - 1) + 1
+        hi = self.dim - 1 if t == k else positions.item(t)
+        if lo >= hi:
+            return hi
+        base = a2 * t
+        if b2 == 0.0:
+            return lo if base > x else hi
+        q = (x - base) / b2
+        i = max(lo, t + int(q)) if q < hi - t else hi
+        while i > lo and base + b2 * (i - t) > x:
+            i -= 1
+        while i < hi and base + b2 * (i + 1 - t) <= x:
+            i += 1
+        return i
 
     def total(self) -> float:
         """Probability mass of all dim indices (1 up to rounding)."""
@@ -166,10 +201,12 @@ class MarkPredicate:
     predicate on every index at each amplification step; because the
     predicate is deterministic, the truth table is computed once and
     cached, which changes nothing observable.  ``mask_provider`` may
-    supply the full table in one vectorized call.
+    supply the full table in one vectorized call.  The predicate also keeps
+    the chain of ClassStates its steps reach from the uniform start, built
+    one recurrence step at a time as grover_iteration asks for them.
     """
 
-    __slots__ = ("dim", "ledger", "_marks", "_mask", "_counts", "_mask_provider")
+    __slots__ = ("dim", "ledger", "_marks", "_mask", "_chain", "_mask_provider")
 
     def __init__(
         self,
@@ -183,7 +220,7 @@ class MarkPredicate:
         self.dim = dim
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._mask_provider = mask_provider
-        self._counts = None
+        self._chain = None
         if callable(marks):
             self._marks = marks
             self._mask = None
@@ -207,17 +244,6 @@ class MarkPredicate:
                 )
         return self._mask
 
-    def counts(self) -> np.ndarray:
-        """Running mark count R[i] = #{marked indices <= i}, cached with the mask.
-
-        Reads the truth table on every call, as each phase-oracle
-        application does.
-        """
-        mask = self.mask()
-        if self._counts is None:
-            self._counts = np.cumsum(mask)
-        return self._counts
-
     def check(self, index: int) -> bool:
         """Classically verify one index (one classical query)."""
         self.ledger.classical_queries += 1
@@ -232,28 +258,31 @@ def grover_iteration(
 ) -> ClassState | StateVector:
     """One amplification step: phase oracle, then inversion about the mean.
 
-    Takes a ClassState (an O(1) update of the two class amplitudes) or a
-    StateVector (all dim amplitudes).  Charges exactly one quantum query.
-    Preserves the norm (both factors are reflections, hence unitary for
-    every dim >= 1).
+    Takes a ClassState or a StateVector (all dim amplitudes).  A ClassState
+    step reads the truth table, as the phase oracle does, and returns the
+    next entry of the predicate's chain, computing it if no earlier step
+    has.  Charges exactly one quantum query.  Preserves the norm (both
+    factors are reflections, hence unitary for every dim >= 1).
     """
     if state.dim != pred.dim:
         raise ValueError(f"state dim {state.dim} != predicate dim {pred.dim}")
+    mask = pred.mask()
     if isinstance(state, ClassState):
-        counts = pred.counts()
-        if state.counts is counts:
-            k = state.k
-        elif state.counts is None:
-            k = int(counts[-1])
+        chain = pred._chain
+        if chain is None:
+            u = ClassState.uniform(pred.dim)
+            chain = pred._chain = [ClassState(u.dim, u.marked, u.unmarked, np.flatnonzero(mask))]
+        if state.positions is chain[0].positions:
+            step = state.step + 1
+        elif state.positions is None:
+            step = 1
         else:
             raise ValueError("state was amplified under another predicate")
-        n = state.dim
-        flipped = -state.marked
-        mean = (k * flipped + (n - k) * state.unmarked) / n
-        out = ClassState(n, 2.0 * mean - flipped, 2.0 * mean - state.unmarked, counts, k)
+        if step == len(chain):
+            chain.append(chain[-1]._successor())
+        out = chain[step]
     else:
-        m = pred.mask()
-        flipped = np.where(m, -state.amps, state.amps)
+        flipped = np.where(mask, -state.amps, state.amps)
         out = StateVector._trusted(2.0 * flipped.mean() - flipped)
     pred.ledger.quantum_queries += 1
     return out

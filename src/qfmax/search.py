@@ -116,9 +116,10 @@ def qsearch(
     lambda_ up to sqrt(dim).  Draws are clamped so that exactly
     ``max_queries`` quantum queries are consumed before giving up.
 
-    The steps run on the two-amplitude ClassState: each is O(1) and a
-    measurement is O(log dim), while the ledger still charges one quantum
-    query per step.
+    The steps run on the two-amplitude ClassState.  Every attempt walks the
+    predicate's memoized chain from the same uniform start, so a step is a
+    lookup that still reads the truth table and charges one quantum query,
+    and a measurement is O(log k) in the number k of marked indices.
 
     Returns a verified marked index, or None at budget exhaustion.
     """
@@ -132,10 +133,11 @@ def qsearch(
     used = 0
     m = 1.0
     m_cap = math.sqrt(dim)
+    start = ClassState.uniform(dim)
     while True:
         j = int(rng.integers(0, math.ceil(m)))
         j = min(j, max_queries - used)
-        state = ClassState.uniform(dim)
+        state = start
         for _ in range(j):
             state = grover_iteration(state, pred)
         used += j

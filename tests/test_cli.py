@@ -185,6 +185,26 @@ def test_config_loses_to_full_flag_and_refuses_abbreviation(tmp_path, capsys):
     assert "--trial" in err
 
 
+def test_config_supplies_scaling_kind(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("kind = error-vs-n\ntrials = 2\nn = 4,8\n")
+    code, out, err = run_cli(["scaling", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert "holder-error-vs-n" in out
+
+
+def test_scaling_without_kind_is_one_line_error(tmp_path, capsys):
+    code, out, err = run_cli(["scaling", "--trials", "2", "--n", "4,8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "qfmax: error: scaling needs --kind\n"
+    cfg = tmp_path / "no-kind.cfg"
+    cfg.write_text("trials = 2\n")
+    code, _, err = run_cli(["scaling", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err == "qfmax: error: scaling needs --kind\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_non_finite_budget_factor_is_parameter_error(value, capsys):
     args = ["holder-max", "--function", "peak", "--n", "8", f"--budget-factor={value}"]

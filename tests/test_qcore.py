@@ -321,3 +321,107 @@ def test_class_state_refuses_a_second_predicate():
         grover_iteration(ClassState.uniform(5), first)
     with pytest.raises(ValueError):
         ClassState.uniform(0)
+
+
+# ---------------------------------------------------------------------------
+# measurement by marked positions against the running-count bisection
+
+
+def reference_locate(state, mask):
+    """First index whose cumulative mass exceeds x, by bisecting the running mark count."""
+    counts = np.cumsum(mask)
+    a2 = state.marked * state.marked
+    b2 = state.unmarked * state.unmarked
+
+    def find(x):
+        lo, hi = 0, state.dim - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            r = counts.item(mid)
+            if a2 * r + b2 * (mid + 1 - r) > x:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    return find, [a2 * r + b2 * (i + 1 - r) for i, r in enumerate(counts.tolist())]
+
+
+@st.composite
+def _marked_register(draw):
+    """(n, mask, j): no marks, one, all, runs of adjacent marks or random marks."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["none", "one", "all", "runs", "random"]))
+    mask = np.zeros(n, dtype=bool)
+    if kind == "one":
+        mask[draw(st.integers(0, n - 1))] = True
+    elif kind == "all":
+        mask[:] = True
+    elif kind == "runs":
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(st.integers(0, n - 1))
+            mask[start : start + draw(st.integers(1, 40))] = True
+    elif kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return n, mask, draw(st.integers(0, 40))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_marked_register())
+def test_locate_by_positions_matches_the_running_count_bisection(case):
+    n, mask, j = case
+    pred = MarkPredicate(n, mask)
+    state = ClassState.uniform(n)
+    for _ in range(j):
+        state = grover_iteration(state, pred)
+    # The uniform start marks nothing yet: its reference count is all zero.
+    find, cumulative = reference_locate(state, mask if j else np.zeros(n, dtype=bool))
+    probes = [0.0, state.total(), -1.0, 2.0]
+    for c in cumulative:
+        probes += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+    for x in probes:
+        assert state.locate(float(x)) == find(float(x)), (x, state.marked, state.unmarked)
+
+
+# ---------------------------------------------------------------------------
+# step accounting on the memoized chain
+
+
+class _CountingPredicate(MarkPredicate):
+    __slots__ = ("reads",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = 0
+
+    def mask(self):
+        self.reads += 1
+        return super().mask()
+
+
+def test_each_class_step_reads_the_table_once_and_charges_one_query():
+    pred = _CountingPredicate(50, lambda i: i % 7 == 3)
+    seen = []
+    for j in (0, 5, 3, 12, 12):
+        reads, queries = pred.reads, pred.ledger.quantum_queries
+        state = ClassState.uniform(50)
+        for _ in range(j):
+            state = grover_iteration(state, pred)
+            seen.append((state, state.marked, state.unmarked))
+        assert pred.reads - reads == j
+        assert pred.ledger.quantum_queries - queries == j
+        assert state.step == j
+    # Later steps and repeated walks leave every earlier state as it was.
+    for state, marked, unmarked in seen:
+        assert (state.marked, state.unmarked) == (marked, unmarked)
+
+
+def test_chain_states_belong_to_one_predicate_and_uniform_starts_anywhere():
+    a = MarkPredicate(16, lambda i: i < 3)
+    b = MarkPredicate(16, lambda i: i < 3)
+    s = grover_iteration(grover_iteration(ClassState.uniform(16), a), a)
+    with pytest.raises(ValueError):
+        grover_iteration(s, b)
+    fresh = ClassState.uniform(16)
+    assert grover_iteration(fresh, b).step == grover_iteration(fresh, a).step == 1
+    assert grover_iteration(fresh, a) is grover_iteration(ClassState.uniform(16), a)

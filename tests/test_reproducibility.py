@@ -1,0 +1,91 @@
+"""Seeded runs give the same discrete outputs as the recorded golden digests.
+
+Each digest is the sha256 of a JSON list of integers and booleans taken
+from seeded runs: ledger counts, success flags, witness cell indices,
+threshold chains of permutation values k/n (stored as k) and OR bits.
+Floating-point values that depend on the platform's math library are
+left out, so the digests hold on any IEEE-754 machine.
+
+Same version plus same master seed gives identical outputs.  A change
+that is meant to alter the random stream or a search decision updates
+the digests below and says so in CHANGES.md; any other change must leave
+them as they are.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from qfmax import bench, maximizer, reduction, search
+from qfmax.functions import make_function
+
+GOLDEN = {
+    "peak-d2": "aba356c14912510835d4910a3fa31ca5a28a5ef7715ba8e7c6a2213666cad680",
+    "cosprod-d3": "775bbffb4677ec70a180d50e84364ba2d8f13e1bcf6b9efa87de5e83503542ec",
+    "find-maximum": "df8a0ed0daf35dda34bf1cd98c688b4950ba5e0f959a27bb6b500b9edb36762f",
+    "or-64": "63f2e77db070a79ee3d4c80eb03329569ce60360fe1f4b45687cecd643e893b0",
+}
+
+
+def _ledger(ledger) -> list[int]:
+    return [ledger.quantum_queries, ledger.classical_queries, ledger.evaluations]
+
+
+def _maximize_runs(function, d, r, eps, seeds) -> list:
+    n = maximizer.choose_n(eps, d, r, 1.0)
+    params = maximizer.MaximizerParams(epsilon=eps)
+    out = []
+    for seed in seeds:
+        f = make_function(function, d, r, 1.0, rng=bench.trial_rng(seed, 0))
+        res = maximizer.quantum_maximize(f, params, bench.trial_rng(seed, 1))
+        cell = np.rint(np.asarray(res.witness) * n - 0.5).astype(int).tolist()
+        out.append([_ledger(res.ledger), res.success, cell])
+    return out
+
+
+def _find_maximum_runs() -> list:
+    out = []
+    for n in (16, 64, 256, 1024):
+        for seed in range(20):
+            # Values k/n with n a power of two are exact; k is recorded.
+            oracle = search.SequenceOracle(bench.trial_rng(seed, n, 0).permutation(n) / n)
+            chains = []
+            res = search.find_maximum(oracle, bench.trial_rng(seed, n, 1), record_thresholds=chains)
+            ks = [[int(v * n) for v in chain] for chain in chains]
+            best = int(res.value * n)
+            out.append([n, best, int(res.witness), res.success, ks, _ledger(res.ledger)])
+    return out
+
+
+def _or_runs() -> list:
+    out = []
+    for seed in range(10):
+        pick = bench.trial_rng(seed, 0)
+        patterns = {
+            "zeros": np.zeros(64, dtype=int),
+            "one": np.eye(64, dtype=int)[int(pick.integers(64))],
+            "random": pick.integers(0, 2, size=64),
+        }
+        for name, bits in patterns.items():
+            bit, res, _ = reduction.or_trial(bits, None, None, bench.trial_rng(seed, 1))
+            out.append([name, bit, res.success, _ledger(res.ledger)])
+    return out
+
+
+RUNS = {
+    "peak-d2": lambda: _maximize_runs("peak", 2, 0, 0.02, range(20)),
+    "cosprod-d3": lambda: _maximize_runs("cosprod", 3, 2, 3e-3, range(6)),
+    "find-maximum": _find_maximum_runs,
+    "or-64": _or_runs,
+}
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256(json.dumps(RUNS[name]()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seeded_outputs_match_golden_digest(name):
+    assert digest(name) == GOLDEN[name]
