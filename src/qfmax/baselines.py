@@ -52,7 +52,7 @@ def random_maximize(
     k = min(budget, grid.N)
     chosen = rng.choice(grid.N, size=k, replace=False)
     chosen.sort()
-    centers = grid.centers()[chosen]
+    centers = grid.centers(chosen)
     ledger = QueryLedger()
     vals = local_max_at(f, centers, 0.5 * grid.h, _cell_scale(f, grid), ledger)
     ledger.classical_queries += k

@@ -1,12 +1,13 @@
 """Reproducible benchmark experiments with flat CSV output.
 
-Every experiment is described by an ExperimentSpec.  Its descriptor runs
-the seeded trials of one parameter point at a time, and each point becomes
-one CSV row aggregated over its trials.  Each function group (one per bit
-pattern in or-reduction, one otherwise) then gets one summary row with the
-log-log slope fitted over the group's rows whose y is positive, on the axes
-the descriptor writes to --plot-out; with fewer than three such rows, or
-with all of them at one x, the group has no summary.  Trial generators are
+Every experiment is described by an ExperimentSpec, checked when built.
+Its descriptor's EXPERIMENTS entry runs the seeded trials of one point at
+a time, and each point becomes one CSV row aggregated over its trials.
+Each function group (one per bit pattern in or-reduction, one otherwise)
+then gets one summary row with the log-log slope fitted over the group's
+rows whose y is positive, on the (x, y) columns the entry names, which
+are also the --plot-out axes; with fewer than three such rows, or with
+all of them at one x, the group has no summary.  Trial generators are
 derived deterministically from (master_seed, point index, trial index),
 trials are run sequentially in a fixed order, and floats are formatted
 canonically, so identical specs produce byte identical files.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .search import SearchParams, SequenceOracle, find_maximum, qsearch
 __all__ = [
     "CSV_COLUMNS",
     "DESCRIPTORS",
+    "EXPERIMENTS",
     "ErrorQuantile",
     "ExperimentSpec",
     "estimate_error_quantile",
@@ -66,19 +69,6 @@ CSV_COLUMNS = (
     "intercept",
     "r2",
 )
-
-# The (x, y) columns each descriptor plots and fits; x = "n" means the
-# points are spec.sizes, x = "epsilon" means spec.eps_values.
-_PLOT_AXES = {
-    "qsearch-scaling": ("n", "mean_quantum_queries"),
-    "maxfind-success": ("n", "mean_quantum_queries"),
-    "holder-error-vs-n": ("n", "error_quantile_theta25"),
-    "holder-queries-vs-eps": ("epsilon", "mean_quantum_queries"),
-    "baseline-queries-vs-eps": ("epsilon", "mean_classical_queries"),
-    "or-reduction": ("n", "mean_quantum_queries"),
-}
-
-DESCRIPTORS = tuple(_PLOT_AXES)
 
 _BIT_PATTERNS = {
     "zeros": lambda size, rng: np.zeros(size, dtype=int),
@@ -175,6 +165,15 @@ class ExperimentSpec:
                 f"patterns must be distinct names among {', '.join(_BIT_PATTERNS)}, "
                 f"got {','.join(self.patterns)!r}"
             )
+        if self.descriptor not in EXPERIMENTS:
+            raise ValueError(
+                f"unknown experiment {self.descriptor!r}; known: {', '.join(DESCRIPTORS)}"
+            )
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
+        points = "sizes" if EXPERIMENTS[self.descriptor].x == "n" else "eps_values"
+        if not getattr(self, points):
+            raise ValueError(f"{self.descriptor} needs a non-empty {points} list")
 
 
 def _fmt(v) -> str:
@@ -197,7 +196,7 @@ def write_csv(rows: list[dict], path) -> None:
 
 def write_plot_data(rows: list[dict], path, descriptor: str) -> None:
     """Two-column whitespace-separated point data, gnuplot ready."""
-    xcol, ycol = _PLOT_AXES[descriptor]
+    _, xcol, ycol = EXPERIMENTS[descriptor]
     with open(path, "w") as fh:
         fh.write(f"# {xcol} {ycol}\n")
         for row in rows:
@@ -246,7 +245,7 @@ def _point_row(spec: ExperimentSpec, fields: dict, outcomes: list, columns) -> d
 
 def _summary_rows(spec: ExperimentSpec, rows: list[dict]) -> list[dict]:
     """One log-log fit per function group, over its rows with positive y."""
-    xcol, ycol = _PLOT_AXES[spec.descriptor]
+    _, xcol, ycol = EXPERIMENTS[spec.descriptor]
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["function"], []).append(row)
@@ -270,7 +269,7 @@ _MAXIMIZER_COLUMNS = _QUANTUM_CLASSICAL + ("mean_evaluations", "error_quantile_t
 
 def _qsearch_scaling(spec: ExperimentSpec):
     for p, size in enumerate(spec.sizes):
-        budget = math.ceil(spec.search.budget_factor * math.sqrt(size))
+        budget = spec.search.budget(size)
         outcomes = []
         for t in range(spec.trials):
             rng = trial_rng(spec.master_seed, p, t)
@@ -348,30 +347,29 @@ def _or_reduction(spec: ExperimentSpec):
             yield {"function": f"bits-{pattern}", "n": size}, outcomes, _QUANTUM_CLASSICAL
 
 
-_RUNNERS = {
-    "qsearch-scaling": _qsearch_scaling,
-    "maxfind-success": _maxfind_success,
-    "holder-error-vs-n": _error_vs_n,
-    "holder-queries-vs-eps": _queries_vs_eps,
-    "baseline-queries-vs-eps": _baseline_queries,
-    "or-reduction": _or_reduction,
+class Experiment(NamedTuple):
+    """A descriptor's runner and the (x, y) columns it plots and fits."""
+
+    run: Callable[[ExperimentSpec], Iterator]
+    x: str  # "n": the points are spec.sizes; "epsilon": spec.eps_values
+    y: str
+
+
+EXPERIMENTS = {
+    "qsearch-scaling": Experiment(_qsearch_scaling, "n", "mean_quantum_queries"),
+    "maxfind-success": Experiment(_maxfind_success, "n", "mean_quantum_queries"),
+    "holder-error-vs-n": Experiment(_error_vs_n, "n", "error_quantile_theta25"),
+    "holder-queries-vs-eps": Experiment(_queries_vs_eps, "epsilon", "mean_quantum_queries"),
+    "baseline-queries-vs-eps": Experiment(_baseline_queries, "epsilon", "mean_classical_queries"),
+    "or-reduction": Experiment(_or_reduction, "n", "mean_quantum_queries"),
 }
+
+DESCRIPTORS = tuple(EXPERIMENTS)
 
 
 def run_experiment(spec: ExperimentSpec, out_path=None, plot_path=None) -> list[dict]:
     """Run one experiment; optionally write the CSV and plot data files."""
-    if spec.descriptor not in _RUNNERS:
-        raise ValueError(
-            f"unknown experiment {spec.descriptor!r}; known: {', '.join(DESCRIPTORS)}"
-        )
-    if spec.trials < 1:
-        raise ValueError("trials must be positive")
-    if _PLOT_AXES[spec.descriptor][0] == "n":
-        if not spec.sizes:
-            raise ValueError(f"{spec.descriptor} needs a non-empty sizes list")
-    elif not spec.eps_values:
-        raise ValueError(f"{spec.descriptor} needs a non-empty eps_values list")
-    rows = [_point_row(spec, *point) for point in _RUNNERS[spec.descriptor](spec)]
+    rows = [_point_row(spec, *point) for point in EXPERIMENTS[spec.descriptor].run(spec)]
     rows += _summary_rows(spec, rows)
     if out_path is not None:
         write_csv(rows, out_path)

@@ -1,5 +1,8 @@
 """Command line front end for the benchmark experiments.
 
+Each bench subcommand runs one bench.EXPERIMENTS descriptor, and flags
+with a library default take it from ExperimentSpec or SearchParams.
+
 Defaults may be collected in a config file of ``key = value`` lines
 (# comments allowed); flags given on the command line always win over
 the file.  Keys use the flag names without the leading dashes, and each
@@ -19,11 +22,18 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 
-from .bench import ExperimentSpec, run_experiment, trial_rng
+from .bench import EXPERIMENTS, ExperimentSpec, run_experiment, trial_rng
 from .functions import available_functions, make_function
 from .maximizer import MaximizerParams, quantum_maximize
 from .search import SearchParams
+
+_BENCH_COMMANDS = {
+    "qsearch-bench": "qsearch-scaling",
+    "maxfind-bench": "maxfind-success",
+    "lowerbound-demo": "or-reduction",
+}
 
 _SCALING_KINDS = {
     "error-vs-n": "holder-error-vs-n",
@@ -63,21 +73,24 @@ def read_config(path) -> dict[str, str]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value defaults file")
-    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p.add_argument("--trials", type=int, default=200, help="trials per point (default 200)")
+    p.add_argument("--seed", type=int, help="master seed (default %(default)s)")
+    p.add_argument("--trials", type=int, help="trials per point (default %(default)s)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout summary only)")
     p.add_argument("--plot-out", default=None, help="optional gnuplot-style .dat output path")
-    p.add_argument("--boost-rounds", type=int, default=2)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=8.0 / 7.0)
-    p.add_argument("--budget-factor", type=float, default=22.5)
+    p.add_argument("--boost-rounds", type=int)
+    p.add_argument("--lambda", dest="lambda_", type=float)
+    p.add_argument("--budget-factor", type=float)
+    p.set_defaults(
+        seed=ExperimentSpec.master_seed, trials=ExperimentSpec.trials, **asdict(SearchParams())
+    )
 
 
 def _add_holder(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--function", default="peak", help="test function family name")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--h-conf", type=float, default=None)
+    p.add_argument("--function", default=ExperimentSpec.function, help="test function family name")
+    p.add_argument("--d", type=int, default=ExperimentSpec.d)
+    p.add_argument("--r", type=int, default=ExperimentSpec.r)
+    p.add_argument("--rho", type=float, default=ExperimentSpec.rho)
+    p.add_argument("--h-conf", type=float, default=ExperimentSpec.h_conf)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_holder(p)
     p.add_argument("--n", type=_int_list, default=[64], help="bit counts")
-    p.add_argument(
-        "--patterns", default="zeros,one,random", help="comma list: zeros, one, random, ones"
-    )
+    p.add_argument("--patterns", help="comma list: zeros, one, random, ones")
+    p.set_defaults(patterns=",".join(ExperimentSpec.patterns))
 
     add_parser("list-functions", help="list available test function families")
     return parser
@@ -148,18 +160,14 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 
 def _search_params(args: argparse.Namespace) -> SearchParams:
-    return SearchParams(
-        lambda_=args.lambda_,
-        budget_factor=args.budget_factor,
-        boost_rounds=args.boost_rounds,
-    )
+    return SearchParams(**{name: getattr(args, name) for name in asdict(SearchParams())})
 
 
 def _spec_from(args: argparse.Namespace, descriptor: str) -> ExperimentSpec:
     fields = {}
     if hasattr(args, "function"):
         fields.update(function=args.function, d=args.d, r=args.r, rho=args.rho, h_conf=args.h_conf)
-    if descriptor in ("holder-queries-vs-eps", "baseline-queries-vs-eps"):
+    if EXPERIMENTS[descriptor].x == "epsilon":
         fields["eps_values"] = tuple(args.eps)
     else:
         fields["sizes"] = tuple(args.n)
@@ -242,17 +250,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "holder-max":
             return _cmd_holder_max(args)
-        if args.command == "qsearch-bench":
-            return _run_spec(args, "qsearch-scaling")
-        if args.command == "maxfind-bench":
-            return _run_spec(args, "maxfind-success")
         if args.command == "scaling":
             if args.kind is None:
                 raise ValueError("scaling needs --kind")
             return _run_spec(args, _SCALING_KINDS[args.kind])
-        if args.command == "lowerbound-demo":
-            return _run_spec(args, "or-reduction")
-        raise ValueError(f"unknown command {args.command!r}")
+        return _run_spec(args, _BENCH_COMMANDS[args.command])
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError, RuntimeError) as exc:

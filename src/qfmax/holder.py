@@ -167,9 +167,10 @@ class Grid:
         a = np.asarray(self.coords(i), dtype=float)
         return (2.0 * a + 1.0) / (2.0 * self.n)
 
-    def centers(self) -> np.ndarray:
-        """All cell centers, shape (N, d), row i matching flat index i."""
-        axes = np.unravel_index(np.arange(self.N), (self.n,) * self.d)
+    def centers(self, cells: np.ndarray | None = None) -> np.ndarray:
+        """Centers of the flat cells (default all), row k matching cells[k]."""
+        cells = np.arange(self.N) if cells is None else cells
+        axes = np.unravel_index(cells, (self.n,) * self.d)
         a = np.stack(axes, axis=1).astype(float)
         return (2.0 * a + 1.0) / (2.0 * self.n)
 
@@ -187,11 +188,10 @@ class Grid:
 
 def build_grid(n: int, d: int) -> Grid:
     """The n^d grid, refused up front above DEFAULT_MAX_CUBES cells."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if n**d > DEFAULT_MAX_CUBES:
+    grid = Grid(n=n, d=d)
+    if grid.N > DEFAULT_MAX_CUBES:
         raise ValueError(f"grid of {n}^{d} cubes exceeds the cap of {DEFAULT_MAX_CUBES}")
-    return Grid(n=n, d=d)
+    return grid
 
 
 def _cell_scale(f: HolderFunction, grid: Grid) -> float:
@@ -434,9 +434,9 @@ _SUPPORT_SHRINK = 0.99
 class BumpFamily:
     """n_bumps disjointly supported product bumps of common height.
 
-    Cell layout: m cells per edge with m^d >= n_bumps, centers at cell
-    midpoints in C-order; members beyond the first n_bumps cells are not
-    created.  The support radius is slightly below half the cell width so
+    Cell layout: the first n_bumps cells of Grid(m, d), the smallest grid
+    with m^d >= n_bumps, one bump centered on each; the other cells stay
+    empty.  The support radius is slightly below half the cell width so
     supports keep a positive gap.
     """
 
@@ -508,15 +508,12 @@ def make_bump_family(
         raise ValueError("height must be positive")
     if height > cap * (1.0 + 1e-12):
         raise ValueError(f"height {height} exceeds the class cap {cap} for this layout")
-    axes = np.unravel_index(np.arange(n_bumps), (m,) * d)
-    a = np.stack(axes, axis=1).astype(float)
-    centers = (2.0 * a + 1.0) / (2.0 * m)
     return BumpFamily(
         n_bumps=n_bumps,
         d=d,
         r=r,
         rho=float(rho),
-        centers=centers,
+        centers=Grid(m, d).centers(np.arange(n_bumps)),
         radius=radius,
         height=float(height),
         kappa=kappa,

@@ -451,8 +451,8 @@ def quantum_maximize(
     ledger = QueryLedger()
     table = _LocalMaxTable(f, grid, eps1, ledger)
     # Comparisons use values mapped into [0, 1] by v -> (v + B) / (2B) with
-    # B = sup_bound + model-error slack + eps1, a strictly increasing map,
-    # so thresholds behave exactly as on the raw values.
+    # B = sup_bound + model-error slack + eps1.  Rounded, the map is only
+    # non-decreasing: values closer than about ulp(B) may become equal.
     slack = eps1 + h_conf * max(1.0, f.seminorm_bound) * eps1
     bound = f.sup_bound + slack
     span = 2.0 * bound
@@ -467,8 +467,7 @@ def quantum_maximize(
         return scaled
 
     acc = _Accessor(grid.N, ledger, lambda i: (table.value(i) + bound) / span, all_scaled)
-    budget = math.ceil(params.search.budget_factor * math.sqrt(grid.N))
-    idx, _, success = _boosted_climb(acc, rng, params.search, budget)
+    idx, _, success = _boosted_climb(acc, rng, params.search)
     value = table.value(idx)
     return MaxResult(
         value=value,

@@ -249,9 +249,6 @@ class MarkPredicate:
         self.ledger.classical_queries += 1
         return bool(self._marks(int(index)))
 
-    def __call__(self, index: int) -> bool:
-        return bool(self._marks(int(index)))
-
 
 def grover_iteration(
     state: ClassState | StateVector, pred: MarkPredicate

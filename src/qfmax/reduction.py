@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .holder import BumpFamily, HolderFunction, _as_points, make_bump_family
+from .holder import BumpFamily, Grid, HolderFunction, _as_points, make_bump_family
 from .maximizer import MaximizerParams, quantum_maximize
 from .search import MaxResult
 
@@ -36,13 +36,12 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
     if not np.isin(arr, (0, 1)).all():
         raise ValueError("bits must contain only 0 and 1")
     active = arr.astype(bool)
-    m = family.cells_per_edge
     d = family.d
+    grid = Grid(family.cells_per_edge, d)
 
     def deriv(alpha, pts):
         pts = _as_points(pts, d)
-        cell_axes = np.clip((pts * m).astype(int), 0, m - 1)
-        flat = np.ravel_multi_index(tuple(cell_axes.T), (m,) * d)
+        flat = grid.cell_of(pts)
         covered = flat < family.n_bumps
         idx = np.where(covered, flat, 0)
         live = covered & active[idx]

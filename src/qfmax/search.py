@@ -60,6 +60,10 @@ class SearchParams:
         if self.boost_rounds < 1:
             raise ValueError("boost_rounds must be at least 1")
 
+    def budget(self, n: int) -> int:
+        """Quantum queries one threshold-search round over n items may use."""
+        return math.ceil(self.budget_factor * math.sqrt(n))
+
 
 @dataclass
 class SequenceOracle:
@@ -206,7 +210,8 @@ def _threshold_climb(acc, rng, params, budget, record=None):
     return s, current, clean
 
 
-def _boosted_climb(acc, rng, params, budget, record_thresholds=None):
+def _boosted_climb(acc, rng, params, record_thresholds=None):
+    budget = params.budget(acc.n)
     best_s = None
     best_v = None
     success = True
@@ -225,8 +230,7 @@ def _climb_sequence(oracle, values, rng, params, record_thresholds):
     """Boosted maximum search over values, charged to the oracle's ledger."""
     params = params if params is not None else SearchParams()
     acc = _Accessor(oracle.n, oracle.ledger, lambda i: float(values[i]), lambda: values)
-    budget = math.ceil(params.budget_factor * math.sqrt(acc.n))
-    return _boosted_climb(acc, rng, params, budget, record_thresholds)
+    return _boosted_climb(acc, rng, params, record_thresholds)
 
 
 def find_maximum(

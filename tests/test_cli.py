@@ -1,8 +1,11 @@
 """Command line behaviour: parsing, config files, exit codes, outputs."""
 
+import argparse
+
 import pytest
 
-from qfmax.cli import main, read_config
+from qfmax.bench import DESCRIPTORS
+from qfmax.cli import build_parser, main, read_config
 
 
 def run_cli(argv, capsys):
@@ -273,3 +276,20 @@ def test_repeated_sizes_keep_their_rows(tmp_path, capsys):
     assert out.count("n=64") == 3
     assert "[summary]" not in out
     assert len(out_csv.read_text().splitlines()) == 4
+
+
+def test_every_descriptor_has_exactly_one_cli_route(monkeypatch, capsys):
+    # Run every bench subcommand and every scaling --kind the parser offers,
+    # recording the descriptor each one asks the library to run.
+    seen = []
+    monkeypatch.setattr(
+        "qfmax.cli.run_experiment", lambda spec, **_: seen.append(spec.descriptor) or []
+    )
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        if command in ("list-functions", "holder-max"):
+            continue
+        kinds = [a.choices for a in parser._actions if a.dest == "kind"]
+        for argv in [[command, "--kind", k] for k in kinds[0]] if kinds else [[command]]:
+            assert run_cli(argv, capsys)[0] == 0
+    assert sorted(seen) == sorted(DESCRIPTORS)

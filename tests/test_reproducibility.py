@@ -3,8 +3,10 @@
 Each digest is the sha256 of a JSON list of integers and booleans taken
 from seeded runs: ledger counts, success flags, witness cell indices,
 threshold chains of permutation values k/n (stored as k) and OR bits.
-Floating-point values that depend on the platform's math library are
-left out, so the digests hold on any IEEE-754 machine.
+The bench digest also holds the CSV cells that are inputs or ratios of
+such counts (success rates and ledger means).  Floating-point values that
+depend on the platform's math library or LAPACK (error quantiles and the
+log-log fits) are left out, so the digests hold on any IEEE-754 machine.
 
 Same version plus same master seed gives identical outputs.  A change
 that is meant to alter the random stream or a search decision updates
@@ -26,6 +28,7 @@ GOLDEN = {
     "cosprod-d3": "775bbffb4677ec70a180d50e84364ba2d8f13e1bcf6b9efa87de5e83503542ec",
     "find-maximum": "df8a0ed0daf35dda34bf1cd98c688b4950ba5e0f959a27bb6b500b9edb36762f",
     "or-64": "63f2e77db070a79ee3d4c80eb03329569ce60360fe1f4b45687cecd643e893b0",
+    "bench": "7d4e18be4a37d30671210d137183f4dadbf96577cd447b53f8f89df62d133362",
 }
 
 
@@ -74,11 +77,40 @@ def _or_runs() -> list:
     return out
 
 
+_BENCH_SPECS = (
+    bench.ExperimentSpec("qsearch-scaling", sizes=(16, 64, 256), trials=20, master_seed=3),
+    bench.ExperimentSpec("maxfind-success", sizes=(16, 64, 256), trials=20, master_seed=3),
+    bench.ExperimentSpec("holder-error-vs-n", sizes=(4, 8, 16), trials=20, master_seed=3),
+    bench.ExperimentSpec(
+        "holder-queries-vs-eps", eps_values=(0.2, 0.1, 0.05), trials=20, master_seed=3
+    ),
+    bench.ExperimentSpec("baseline-queries-vs-eps", eps_values=(0.2, 0.1, 0.05), master_seed=3),
+    bench.ExperimentSpec(
+        "or-reduction", sizes=(16, 64), trials=20, master_seed=3,
+        patterns=("zeros", "one", "random", "ones"),
+    ),
+)
+
+_EXACT_COLUMNS = (
+    "experiment", "function", "d", "r", "rho", "n", "N", "epsilon", "trials", "master_seed",
+    "success_rate", "mean_quantum_queries", "mean_classical_queries", "mean_evaluations",
+)
+
+
+def _bench_rows() -> list:
+    return [
+        [row.get(col) for col in _EXACT_COLUMNS]
+        for spec in _BENCH_SPECS
+        for row in bench.run_experiment(spec)
+    ]
+
+
 RUNS = {
     "peak-d2": lambda: _maximize_runs("peak", 2, 0, 0.02, range(20)),
     "cosprod-d3": lambda: _maximize_runs("cosprod", 3, 2, 3e-3, range(6)),
     "find-maximum": _find_maximum_runs,
     "or-64": _or_runs,
+    "bench": _bench_rows,
 }
 
 

@@ -197,6 +197,21 @@ def test_find_maximum_threshold_chain_strictly_increases():
                 assert hi > lo
 
 
+def test_find_minimum_records_decreasing_chains_of_sequence_values():
+    for t in range(40):
+        rng = trial_rng(23, t)
+        vals = rng.permutation(64) / 64
+        rounds: list[list[float]] = []
+        res = find_minimum(SequenceOracle(vals), rng, record_thresholds=rounds)
+        assert len(rounds) == SearchParams().boost_rounds
+        for chain in rounds:
+            assert chain
+            assert set(chain) <= set(vals.tolist())
+            for hi, lo in zip(chain, chain[1:]):
+                assert lo < hi
+        assert min(chain[-1] for chain in rounds) == res.value
+
+
 @st.composite
 def _searches(draw):
     n = draw(st.integers(1, 300))
