@@ -218,6 +218,11 @@ class TaylorModel:
     alphas: tuple[tuple[int, ...], ...]
     coeffs: np.ndarray
 
+    def __post_init__(self) -> None:
+        # exponents as tuples of ints: evaluation plans are cached per alphas
+        alphas = tuple(tuple(int(a) for a in alpha) for alpha in self.alphas)
+        object.__setattr__(self, "alphas", alphas)
+
     def coeff(self, alpha: tuple[int, ...]) -> float:
         alpha = tuple(int(a) for a in alpha)
         return float(self.coeffs[self.alphas.index(alpha)])
@@ -248,39 +253,59 @@ def taylor_model(f: HolderFunction, center, ledger: QueryLedger | None = None) -
     return TaylorModel(center=center.copy(), alphas=alphas, coeffs=coeffs[0])
 
 
-def _power_table(x: np.ndarray, top: int, power=operator.pow) -> np.ndarray:
-    """Columns power(x, e) for e = 0..top, column 0 all ones."""
-    out = np.empty((x.shape[0], top + 1))
-    out[:, 0] = 1.0
-    for e in range(1, top + 1):
-        out[:, e] = power(x, e)
-    return out
+@lru_cache(maxsize=None)
+def _exponents(alphas, d: int) -> tuple[tuple, tuple[int, ...]]:
+    """The evaluation plan of the monomials alphas in d variables, built once per alphas.
 
-
-def _monomial_sum(c: np.ndarray, exps: np.ndarray, powers) -> np.ndarray:
-    """Per row, 0.0 + the sum over j in order of c[:, j] * prod_k powers[k][:, exps[j, k]].
-
-    powers[k][:, e] is the e-th power of variable k with column 0 all
-    ones, so a zero exponent multiplies by exactly 1.
+    Returns (factors, tops): factors[j] lists the (axis, exponent) pairs
+    of alphas[j] with a non-zero exponent, in axis order, and tops[k] is
+    the largest exponent of axis k.
     """
-    terms = np.zeros((c.shape[0], c.shape[1] + 1))
-    terms[:, 1:] = c
-    for k, table in enumerate(powers):
-        terms[:, 1:] *= table[:, exps[:, k]]
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+    factors = tuple(tuple((k, int(e)) for k, e in enumerate(alpha) if e) for alpha in alphas)
+    tops = tuple(max((int(alpha[k]) for alpha in alphas), default=0) for k in range(d))
+    return factors, tops
+
+
+def _power_table(x: np.ndarray, top: int, power=operator.pow) -> list:
+    """Entry e is the e-th power of x for e = 0..top: 1.0, x itself, then power(x, e).
+
+    Both powers in use return x unchanged for e = 1, so x stands in for it.
+    """
+    table = [1.0, x][: top + 1]
+    table.extend(power(x, e) for e in range(2, top + 1))
+    return table
+
+
+def _monomial_sum(c: np.ndarray, factors, powers) -> np.ndarray:
+    """Per row, 0.0 + the sum over j in order of c[:, j] * prod_(k, e) in factors[j] powers[k][e].
+
+    Term j starts from column c[:, j] and is multiplied by the power
+    column of each of its non-zero exponents, in axis order, so it equals
+    the product over all axes with the zero exponents' factors of exactly
+    1.0.  The terms are added one by one into a total that starts at 0.0,
+    so each row's sum keeps its left-to-right order.  factors comes from
+    _exponents and powers[k] from _power_table.
+    """
+    total = np.zeros(c.shape[0])
+    for term, term_factors in zip(c.T, factors):
+        for k, e in term_factors:
+            term = term * powers[k][e]
+        total += term
+    return total
 
 
 def _poly_at_offsets(alphas, coeffs, offs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[..., k] * prod(offs ** alphas[k]) for each row of offs (M, d).
 
     coeffs is one coefficient vector shared by all rows, or (M, K) with
-    one coefficient row per row of offs.
+    one coefficient row per row of offs.  Powers are numpy's, one column
+    per axis and exponent, and the terms are summed by _monomial_sum.
     """
     m, d = offs.shape
-    exps = np.array(alphas, dtype=np.intp).reshape(len(alphas), d)
-    powers = [_power_table(offs[:, k], top) for k, top in enumerate(exps.max(axis=0))]
+    factors, tops = _exponents(alphas, d)
+    powers = [_power_table(offs[:, k], top) for k, top in enumerate(tops)]
     cols = np.broadcast_to(np.asarray(coeffs, dtype=float), (m, len(alphas)))
-    return _monomial_sum(cols, exps, powers)
+    return _monomial_sum(cols, factors, powers)
 
 
 def eval_taylor(model: TaylorModel, pts) -> np.ndarray | float:

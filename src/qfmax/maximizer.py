@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .holder import (
     HolderFunction,
     TaylorModel,
     _cell_scale,
+    _exponents,
     _monomial_sum,
-    _poly_at_offsets,
     _power_table,
     build_grid,
     multi_indices,
@@ -174,39 +175,54 @@ def _libm_pow(x: np.ndarray, e: int) -> np.ndarray:
     return x if e == 1 else np.array([math.pow(v, e) for v in x.tolist()])
 
 
+@lru_cache(maxsize=None)
 def _gradient_terms(alphas, d: int):
-    """The terms of each partial derivative d p / d t_k, and the top exponents.
+    """The terms of each partial derivative d p / d t_k, built once per alphas.
 
-    Entry k of the list is (coefficient columns, alpha[k], exponents with
-    alpha[k] lowered by one); tops[j] is the largest exponent of axis j in
-    any of them.
+    Returns (cols, scale, parts, tops).  The terms of all d partials are
+    the columns of coeffs[:, cols] * scale: alpha[k] times the coefficient
+    of each alpha with alpha[k] > 0.  Entry k of parts is (start, stop,
+    factors): partial k owns columns start:stop, and factors lists their
+    monomials, alpha with alpha[k] lowered by one, as _exponents does.
+    tops[j] is the largest exponent of axis j in any of them.  cols and
+    scale are read-only, since every call with these alphas shares them.
     """
-    exps = np.array(alphas, dtype=np.intp).reshape(len(alphas), d)
-    terms = []
+    cols, scale, parts, lowered = [], [], [], []
     for k in range(d):
-        cols = np.flatnonzero(exps[:, k])
-        lowered = exps[cols]
-        lowered[:, k] -= 1
-        terms.append((cols, exps[cols, k].astype(float), lowered))
-    tops = np.max([t[2].max(axis=0, initial=0) for t in terms], axis=0)
-    return terms, tops
+        start = len(cols)
+        for j, alpha in enumerate(alphas):
+            if alpha[k]:
+                cols.append(j)
+                scale.append(float(alpha[k]))
+                lowered.append(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :])
+        parts.append((start, len(cols), _exponents(tuple(lowered[start:]), d)[0]))
+    tops = _exponents(tuple(lowered), d)[1]
+    cols, scale = np.array(cols, dtype=np.intp), np.array(scale)
+    cols.flags.writeable = scale.flags.writeable = False
+    return cols, scale, tuple(parts), tops
 
 
-def _box_bounds(alphas, grads, coeffs, lo, hi):
+def _box_bounds(plan, coeffs, lo, hi):
     """Midpoint value and upper bound of each row's model over its offset box.
 
-    The bound adds, per axis k, a sup bound on |d p / d t_k| (sum of
-    |c| prod m^beta over the partial's terms, m the largest |offset|)
-    times the half width.  grads is _gradient_terms(alphas, d).
+    plan is (_exponents(alphas, d), _gradient_terms(alphas, d)).  The
+    value is the model at the box midpoint, as _poly_at_offsets computes
+    it.  The bound adds, per axis k, a sup bound on |d p / d t_k| (sum of
+    |c| prod m^beta over the partial's terms, m the largest |offset|,
+    powers by C pow) times the half width.  The power columns of the
+    midpoint and of m are built once per call and shared by all terms.
     """
-    terms, tops = grads
-    val = _poly_at_offsets(alphas, coeffs, 0.5 * (lo + hi))
+    (factors, tops), (cols, scale, parts, grad_tops) = plan
+    mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
-    powers = [_power_table(m[:, k], top, _libm_pow) for k, top in enumerate(tops)]
+    width = hi - lo
+    val = _monomial_sum(coeffs, factors, [_power_table(mid[:, k], t) for k, t in enumerate(tops)])
+    powers = [_power_table(m[:, k], t, _libm_pow) for k, t in enumerate(grad_tops)]
+    terms = np.abs(coeffs[:, cols] * scale)
     slack = np.zeros(m.shape[0])
-    for k, (cols, alpha_k, exps) in enumerate(terms):
-        g = _monomial_sum(np.abs(coeffs[:, cols] * alpha_k), exps, powers)
-        slack += g * 0.5 * (hi[:, k] - lo[:, k])
+    for k, (start, stop, part) in enumerate(parts):
+        g = _monomial_sum(terms[:, start:stop], part, powers)
+        slack += g * 0.5 * width[:, k]
     return val, val + slack
 
 
@@ -225,37 +241,41 @@ def _branch_bound_max(
     max_nodes splits in one row raise RuntimeError.
     """
     rows, d = lo_off.shape
-    grads = _gradient_terms(alphas, d)
+    plan = (_exponents(alphas, d), _gradient_terms(alphas, d))
     lo = (centers + lo_off) - centers
     hi = (centers + hi_off) - centers
-    best, ub = _box_bounds(alphas, grads, coeffs, lo, hi)
+    best, ub = _box_bounds(plan, coeffs, lo, hi)
     ub_final = np.zeros(rows)
     nodes = np.zeros(rows, dtype=np.int64)
-    # The frontier holds one slot per open box: its row, bound, push order
-    # and box.  Slots of popped boxes move to the extra row `rows`; they and
-    # the slots of stopped rows are dropped once they make up half the pool.
+    # The frontier holds one slot per open box: its row, bound and box.  New
+    # slots are appended and compaction keeps their order, so each row's
+    # slots lie in push order and its oldest box comes first.  Slots of
+    # popped boxes move to the extra row `rows`; they and the slots of
+    # stopped rows are dropped once they make up half the pool.
     cell = np.arange(rows)
-    seq = np.zeros(rows, dtype=np.int64)
-    stopped = np.zeros(rows + 1, dtype=bool)
-    stopped[rows] = True
+    active = np.ones(rows + 1, dtype=bool)
+    active[rows] = False
     open_boxes = np.ones(rows, dtype=np.int64)
-    used, stale, step = rows, 0, 0
+    top_ub = np.empty(rows + 1)
+    used, stale = rows, 0
     while True:
         live = cell[:used]
-        top_ub = np.full(rows + 1, -np.inf)
+        top_ub.fill(-np.inf)
         np.maximum.at(top_ub, live, ub[:used])
-        cand = np.flatnonzero((ub[:used] == top_ub[live]) & ~stopped[live])
+        cand = np.flatnonzero((ub[:used] == top_ub[live]) & active[live])
         if not cand.size:
             break
-        cand = cand[np.lexsort((seq[cand], cell[cand]))]
+        # each active row pops its first slot with the largest bound
+        cand = cand[np.argsort(cell[cand], kind="stable")]
         first = np.ones(cand.size, dtype=bool)
         first[1:] = cell[cand[1:]] != cell[cand[:-1]]
         top = cand[first]
         tc = cell[top]
         done = ub[top] - best[tc] <= eps1
-        ub_final[tc[done]] = ub[top[done]]
-        stopped[tc[done]] = True
-        stale += open_boxes[tc[done]].sum()
+        finished = tc[done]
+        ub_final[finished] = ub[top[done]]
+        active[finished] = False
+        stale += open_boxes[finished].sum()
         top, tc = top[~done], tc[~done]
         nodes[tc] += 1
         if np.any(nodes[tc] > max_nodes):
@@ -272,7 +292,7 @@ def _branch_bound_max(
         lo2[pick, axis] = mid
         clo, chi = np.concatenate([blo, lo2]), np.concatenate([hi1, bhi])
         crow = np.concatenate([tc, tc])
-        val, cub = _box_bounds(alphas, grads, coeffs[crow], clo, chi)
+        val, cub = _box_bounds(plan, coeffs[crow], clo, chi)
         # the incumbent takes the low half's value before the high half is tested
         b0 = best[tc]
         b1 = np.where(val[: tc.size] > b0, val[: tc.size], b0)
@@ -280,23 +300,22 @@ def _branch_bound_max(
         best[tc] = b2
         push = cub - np.concatenate([b1, b2]) > eps1
         open_boxes[tc] += push[: tc.size].astype(np.int64) + push[tc.size :] - 1
-        step += 1
-        child_seq = np.repeat([2 * step - 1, 2 * step], tc.size)
         if stale > used // 2:
-            keep = np.flatnonzero(~stopped[cell[:used]])
+            keep = np.flatnonzero(active[cell[:used]])
             used, stale = keep.size, 0
-            cell[:used], ub[:used], seq[:used] = cell[keep], ub[keep], seq[keep]
+            cell[:used], ub[:used] = cell[keep], ub[keep]
             lo[:used], hi[:used] = lo[keep], hi[keep]
+        # the low halves, then the high halves: each row's low child first
         new = np.flatnonzero(push)
         if used + new.size > cell.size:
             size = 2 * (used + new.size)
-            cell, ub, seq, lo, hi = (_grown(a, used, size) for a in (cell, ub, seq, lo, hi))
+            cell, ub, lo, hi = (_grown(a, used, size) for a in (cell, ub, lo, hi))
         fill = slice(used, used + new.size)
-        cell[fill], ub[fill], seq[fill] = crow[new], cub[new], child_seq[new]
+        cell[fill], ub[fill] = crow[new], cub[new]
         lo[fill], hi[fill] = clo[new], chi[new]
         used += new.size
     # a row whose frontier ran empty ends at its incumbent
-    ub_final = np.where(stopped[:rows] & ~(best > ub_final), ub_final, best)
+    ub_final = np.where(~active[:rows] & ~(best > ub_final), ub_final, best)
     cap = best + eps1
     return 0.5 * (best + np.where(cap < ub_final, cap, ub_final))
 
@@ -349,6 +368,8 @@ def local_max_taylor(model: TaylorModel, lo, hi, eps1: float) -> float:
     d = model.center.size
     lo_off = np.asarray(lo, dtype=float).reshape(1, d) - model.center
     hi_off = np.asarray(hi, dtype=float).reshape(1, d) - model.center
+    if not (np.isfinite(lo_off).all() and np.isfinite(hi_off).all()):
+        raise ValueError("box bounds must be finite")
     if np.any(hi_off < lo_off):
         raise ValueError("box must satisfy lo <= hi")
     return float(

@@ -14,6 +14,7 @@ by a factor of two per round.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
     "find_maximum",
     "find_minimum",
 ]
+
+DEFAULT_MAX_QUANTUM_QUERIES = 2**24
 
 
 @dataclass
@@ -57,6 +60,8 @@ class SearchParams:
             raise ValueError("lambda_ must lie in (1, 4/3]")
         if not 0.0 < self.budget_factor < math.inf:
             raise ValueError("budget_factor must be positive and finite")
+        if not isinstance(self.boost_rounds, numbers.Integral):
+            raise ValueError(f"boost_rounds must be an integer, got {self.boost_rounds!r}")
         if self.boost_rounds < 1:
             raise ValueError("boost_rounds must be at least 1")
 
@@ -211,6 +216,21 @@ def _threshold_climb(acc, rng, params, budget, record=None):
 
 
 def _boosted_climb(acc, rng, params, record_thresholds=None):
+    """boost_rounds threshold climbs, each with a fresh budget; keeps the best.
+
+    A total budget above DEFAULT_MAX_QUANTUM_QUERIES is refused before the
+    first read.
+    """
+    # the first test keeps ceil away from an overflowing product
+    per_round = params.budget_factor * math.sqrt(acc.n)
+    if (
+        per_round > DEFAULT_MAX_QUANTUM_QUERIES
+        or params.boost_rounds * params.budget(acc.n) > DEFAULT_MAX_QUANTUM_QUERIES
+    ):
+        raise ValueError(
+            f"quantum budget of {params.boost_rounds} rounds of {per_round:.6g} queries "
+            f"exceeds the cap of {DEFAULT_MAX_QUANTUM_QUERIES}"
+        )
     budget = params.budget(acc.n)
     best_s = None
     best_v = None

@@ -6,6 +6,7 @@ import pytest
 
 from qfmax.bench import DESCRIPTORS
 from qfmax.cli import build_parser, main, read_config
+from qfmax.search import DEFAULT_MAX_QUANTUM_QUERIES
 
 
 def run_cli(argv, capsys):
@@ -214,6 +215,16 @@ def test_non_finite_budget_factor_is_parameter_error(value, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert err.startswith("qfmax: error: budget_factor")
+
+
+@pytest.mark.parametrize("flag", ["--budget-factor=1e300", "--boost-rounds=1000000000000"])
+def test_unbounded_quantum_budget_is_one_line_parameter_error(flag, capsys):
+    code, out, err = run_cli(["holder-max", "--function", "peak", "--n", "8", flag], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qfmax: error: quantum budget of ")
+    assert err.endswith(f" exceeds the cap of {DEFAULT_MAX_QUANTUM_QUERIES}\n")
+    assert err.count("\n") == 1
 
 
 def test_node_cap_is_parameter_error(monkeypatch, capsys):

@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfmax.holder import (
     Grid,
     HolderFunction,
+    TaylorModel,
     build_grid,
     bump_class_scale,
     bump_profile,
@@ -21,6 +25,8 @@ from qfmax.holder import (
     taylor_model,
     taylor_tableau,
 )
+from qfmax.holder import _exponents, _monomial_sum, _power_table
+from qfmax.maximizer import _libm_pow, local_max_taylor
 from qfmax.qcore import QueryLedger
 
 # Frozen oracles.
@@ -142,6 +148,19 @@ def test_taylor_model_constant_case():
     assert eval_taylor(model, np.array([0.9])) == pytest.approx(0.37, abs=1e-15)
 
 
+def test_taylor_model_takes_exponents_as_lists():
+    # evaluation plans are cached per exponent set, so lists become tuples
+    args = dict(center=np.array([0.5, 0.5]), coeffs=np.array([0.2, 1.0, -3.0, 0.5]))
+    listed = TaylorModel(alphas=[[0, 0], [0, 1], [1, 1], np.array([2, 0])], **args)
+    model = TaylorModel(alphas=((0, 0), (0, 1), (1, 1), (2, 0)), **args)
+    assert listed.alphas == model.alphas
+    assert listed.coeff([1, 1]) == -3.0
+    pts = np.array([[0.4, 0.7], [0.55, 0.45]])
+    assert eval_taylor(listed, pts).tobytes() == eval_taylor(model, pts).tobytes()
+    lo, hi = np.array([0.4, 0.4]), np.array([0.6, 0.6])
+    assert local_max_taylor(listed, lo, hi, 1e-3) == local_max_taylor(model, lo, hi, 1e-3)
+
+
 def test_taylor_tableau_charges_evaluations():
     led = QueryLedger()
     f = HolderFunction(
@@ -193,6 +212,55 @@ def test_eval_taylor_reproduces_polynomials_exactly():
     model = taylor_model(f, np.array([0.4, 0.6]))
     pts = rng.random((100, 2))
     np.testing.assert_allclose(eval_taylor(model, pts), f(pts), atol=1e-10)
+
+
+def gather_accumulate_sum(c, exps, tables):
+    """The former _monomial_sum, kept as the reference for the column-wise one.
+
+    tables[k] is (R, top + 1) with column e the e-th power of variable k:
+    every axis gathers its power columns into the (R, K) terms, zero
+    exponents included, then one accumulate adds them left to right from 0.0.
+    """
+    terms = np.zeros((c.shape[0], c.shape[1] + 1))
+    terms[:, 1:] = c
+    for k, table in enumerate(tables):
+        terms[:, 1:] *= table[:, exps[:, k]]
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+
+
+@st.composite
+def _monomial_cases(draw):
+    rows = draw(st.integers(1, 50))
+    d = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    alphas = tuple(draw(st.permutations(multi_indices(d, degree))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, len(alphas))
+    coeffs = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    zero = rng.random(shape) < 0.2
+    coeffs[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))  # +0.0 and -0.0
+    if draw(st.booleans()):  # one coefficient row shared by all rows
+        coeffs = np.broadcast_to(coeffs[0], shape)
+    x = rng.uniform(-1.5, 1.5, size=(rows, d))
+    x[rng.random(x.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    power = draw(st.sampled_from([operator.pow, _libm_pow]))
+    return alphas, coeffs, x, power
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_monomial_cases())
+def test_monomial_sum_matches_gather_and_accumulate_bitwise(case):
+    alphas, coeffs, x, power = case
+    rows, d = x.shape
+    exps = np.array(alphas).reshape(len(alphas), d)
+    tables = [
+        np.column_stack([np.ones(rows)] + [power(x[:, k], e) for e in range(1, top + 1)])
+        for k, top in enumerate(exps.max(axis=0))
+    ]
+    factors, tops = _exponents(alphas, d)
+    powers = [_power_table(x[:, k], top, power) for k, top in enumerate(tops)]
+    got = _monomial_sum(coeffs, factors, powers)
+    assert got.tobytes() == gather_accumulate_sum(coeffs, exps, tables).tobytes()
 
 
 def test_eval_taylor_frozen_sin_value():

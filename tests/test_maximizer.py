@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,18 @@ def test_non_positive_eps1_is_refused_up_front(r, eps1):
     f = make_function("cosprod", 1, r, 1.0)
     with pytest.raises(ValueError, match="eps1"):
         local_max_values(f, build_grid(4, 1), eps1)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [([math.nan], [0.6]), ([0.4], [math.inf]), ([-math.inf], [0.6]), ([0.4], [math.nan])]
+)
+def test_non_finite_box_is_refused(lo, hi):
+    model = TaylorModel(center=np.array([0.5]), alphas=multi_indices(1, 3),
+                        coeffs=np.array([0.1, 0.2, -1.0, 0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            local_max_taylor(model, lo, hi, 1e-4)
 
 
 def test_local_max_uses_no_function_evaluations():

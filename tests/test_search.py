@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qfmax.bench import fit_loglog_slope, trial_rng
 from qfmax.qcore import MarkPredicate, QueryLedger
 from qfmax.search import (
+    DEFAULT_MAX_QUANTUM_QUERIES,
     MaxResult,
     SearchParams,
     SequenceOracle,
@@ -37,6 +38,37 @@ def test_params_validation():
             SearchParams(lambda_=bad)
     with pytest.raises(ValueError):
         SearchParams(boost_rounds=0)
+
+
+@pytest.mark.parametrize("rounds", [2.5, 2.0, "2", None])
+def test_params_refuse_non_integer_boost_rounds(rounds):
+    with pytest.raises(ValueError, match="boost_rounds must be an integer"):
+        SearchParams(boost_rounds=rounds)
+
+
+@pytest.mark.parametrize(
+    "params,n",
+    [
+        (SearchParams(budget_factor=1e300), 1024),
+        (SearchParams(budget_factor=1e308), 1024),  # budget_factor * sqrt(n) overflows
+        (SearchParams(boost_rounds=10**12), 1024),
+        (SearchParams(budget_factor=2**23 + 0.5), 1),  # 2 rounds of 2^23 + 1 queries
+    ],
+)
+def test_unbounded_quantum_budget_is_refused_before_the_first_read(params, n):
+    oracle = SequenceOracle(np.linspace(0.0, 1.0, n))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        find_maximum(oracle, np.random.default_rng(0), params)
+    assert oracle.ledger.classical_queries == oracle.ledger.quantum_queries == 0
+
+
+def test_quantum_budget_at_the_cap_is_accepted():
+    # one item: 2 rounds of ceil(2^23) queries is exactly the cap, and each
+    # round settles the item with one classical check
+    params = SearchParams(budget_factor=2**23)
+    assert params.boost_rounds * params.budget(1) == DEFAULT_MAX_QUANTUM_QUERIES
+    res = find_maximum(SequenceOracle([0.5]), np.random.default_rng(0), params)
+    assert res.value == 0.5 and res.success
 
 
 def test_sequence_oracle_validation():
