@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .baselines import grid_maximize
 from .functions import make_function
+from .holder import DEFAULT_MAX_CUBES, _check_class
 from .maximizer import MaximizerParams, _check_h_conf, choose_n, default_h_conf, quantum_maximize
 from .qcore import MarkPredicate, QueryLedger
 from .reduction import or_trial
@@ -156,8 +158,11 @@ class ExperimentSpec:
     patterns: tuple[str, ...] = ("zeros", "one", "random")
 
     def __post_init__(self) -> None:
-        if any(n < 1 for n in self.sizes):
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.sizes):
             raise ValueError(f"sizes must be positive integers, got {self.sizes}")
+        if any(n > DEFAULT_MAX_CUBES for n in self.sizes):
+            raise ValueError(f"sizes must be at most {DEFAULT_MAX_CUBES}, got {self.sizes}")
+        _check_class(self.d, self.r, self.rho)
         _check_h_conf(self.h_conf)
         names = set(self.patterns)
         if not names or len(names) < len(self.patterns) or not names <= _BIT_PATTERNS.keys():
@@ -169,8 +174,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.descriptor!r}; known: {', '.join(DESCRIPTORS)}"
             )
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         points = "sizes" if EXPERIMENTS[self.descriptor].x == "n" else "eps_values"
         if not getattr(self, points):
             raise ValueError(f"{self.descriptor} needs a non-empty {points} list")
@@ -299,7 +304,7 @@ def _error_bound(spec: ExperimentSpec, n: int) -> float:
 def _maximize_trials(spec: ExperimentSpec, p: int, n: int) -> list:
     """The quantum maximizer's trials at point p, on n subdivisions per axis."""
     bound = _error_bound(spec, n)
-    params = MaximizerParams(n_override=n, h_conf=spec.h_conf, search=spec.search)
+    params = MaximizerParams(n_override=n, search=spec.search)
     outcomes = []
     for t in range(spec.trials):
         inst_rng = trial_rng(spec.master_seed, p, t, 0)

@@ -90,7 +90,14 @@ def _add_holder(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=ExperimentSpec.d)
     p.add_argument("--r", type=int, default=ExperimentSpec.r)
     p.add_argument("--rho", type=float, default=ExperimentSpec.rho)
-    p.add_argument("--h-conf", type=float, default=ExperimentSpec.h_conf)
+    p.add_argument(
+        "--h-conf",
+        type=float,
+        default=ExperimentSpec.h_conf,
+        help="model-error constant H, default d^r/r!: it picks n from --eps (or from the "
+        "bump height in lowerbound-demo) and sets the (H+1)(1/n)^(r+rho) bound that "
+        "scores scaling trials; a maximizer run at a given --n does not read it",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

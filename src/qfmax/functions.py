@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .holder import HolderFunction, _as_points, make_bump_family, multi_indices
+from .holder import HolderFunction, _as_points, _check_class, make_bump_family, multi_indices
 
 __all__ = ["available_functions", "make_function", "peak_class_scale"]
 
@@ -224,8 +224,7 @@ def make_function(
     rng: np.random.Generator | None = None,
 ) -> HolderFunction:
     """Instantiate a registered test function for the given class."""
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    _check_class(d, r, rho)
     try:
         factory = _REGISTRY[name]
     except KeyError:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,6 +88,16 @@ def _alpha_factorial(alpha: tuple[int, ...]) -> float:
 # function representation
 
 
+def _check_class(d: int, r: int, rho: float) -> None:
+    """Refuse (d, r, rho) outside the class: d >= 1, r >= 0 and 0 < rho <= 1."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class HolderFunction:
     """A function on [0,1]^d with exact derivatives up to order r.
@@ -108,12 +119,7 @@ class HolderFunction:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if self.r < 0:
-            raise ValueError("r must be non-negative")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
+        _check_class(self.d, self.r, self.rho)
 
     def partial(self, alpha: tuple[int, ...], pts) -> np.ndarray:
         alpha = tuple(int(a) for a in alpha)
@@ -149,6 +155,8 @@ class Grid:
     d: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.d, numbers.Integral)):
+            raise ValueError(f"grid needs integer n and d, got n={self.n!r}, d={self.d!r}")
         if self.n < 1 or self.d < 1:
             raise ValueError("grid needs n >= 1 and d >= 1")
 
@@ -434,8 +442,7 @@ def bump_class_scale(d: int, r: int, rho_key: float) -> float:
     the quotient up by another 2^(1-rho) (see embed_bits).
     """
     rho = float(rho_key)
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must lie in (0, 1]")
+    _check_class(d, r, rho)
     worst = 0.0
     for alpha in multi_indices(d, r):
         if sum(alpha) != r:

@@ -17,16 +17,19 @@ amplification step, one classical query per post-measurement lookup.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .holder import (
+    DEFAULT_MAX_CUBES,
     Grid,
     HolderFunction,
     TaylorModel,
     _cell_scale,
+    _check_class,
     _exponents,
     _monomial_sum,
     _power_table,
@@ -53,7 +56,8 @@ class MaximizerParams:
 
     Either epsilon (target accuracy, resolved through choose_n) or
     n_override (explicit subdivisions per axis) must be set.  h_conf is
-    the model-error constant used by choose_n, default d^r / r!.
+    the model-error constant used by choose_n, default d^r / r!, so it
+    only matters when epsilon picks n.
     """
 
     epsilon: float | None = None
@@ -62,6 +66,11 @@ class MaximizerParams:
     search: SearchParams = field(default_factory=SearchParams)
 
     def __post_init__(self) -> None:
+        if self.n_override is not None:
+            if not isinstance(self.n_override, numbers.Integral):
+                raise ValueError(f"n_override must be an integer, got {self.n_override!r}")
+            if self.n_override < 1:
+                raise ValueError("n_override must be positive")
         _check_h_conf(self.h_conf)
 
 
@@ -87,11 +96,19 @@ def choose_n(
     """Smallest per-axis subdivision with (h_conf + 1) (1/n)^(r+rho) <= epsilon."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_class(d, r, rho)
     _check_h_conf(h_conf)
     if h_conf is None:
         h_conf = default_h_conf(d, r)
-    x = ((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho))
-    return max(1, math.ceil(x - 1e-12))
+    try:
+        x = ((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho))
+        return max(1, math.ceil(x - 1e-12))
+    except OverflowError:
+        # n is past a float's range, so the grid is far past the cap
+        raise ValueError(
+            f"epsilon {epsilon} at r + rho = {r + rho:g} needs a grid beyond the cap "
+            f"of {DEFAULT_MAX_CUBES} cubes"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -460,36 +477,15 @@ def quantum_maximize(
     """
     if params.n_override is not None:
         n = int(params.n_override)
-        if n < 1:
-            raise ValueError("n_override must be positive")
     elif params.epsilon is not None:
         n = choose_n(params.epsilon, f.d, f.r, f.rho, params.h_conf)
     else:
         raise ValueError("either epsilon or n_override must be set")
     grid = build_grid(n, f.d)
-    eps1 = _cell_scale(f, grid)
-    h_conf = params.h_conf if params.h_conf is not None else default_h_conf(f.d, f.r)
     ledger = QueryLedger()
-    table = _LocalMaxTable(f, grid, eps1, ledger)
-    # Comparisons use values mapped into [0, 1] by v -> (v + B) / (2B) with
-    # B = sup_bound + model-error slack + eps1.  Rounded, the map is only
-    # non-decreasing: values closer than about ulp(B) may become equal.
-    slack = eps1 + h_conf * max(1.0, f.seminorm_bound) * eps1
-    bound = f.sup_bound + slack
-    span = 2.0 * bound
-    scaled = None
-
-    def all_scaled() -> np.ndarray:
-        # The complete table never changes, so every threshold's mask reads
-        # one scaled copy.
-        nonlocal scaled
-        if scaled is None:
-            scaled = (table.values() + bound) / span
-        return scaled
-
-    acc = _Accessor(grid.N, ledger, lambda i: (table.value(i) + bound) / span, all_scaled)
-    idx, _, success = _boosted_climb(acc, rng, params.search)
-    value = table.value(idx)
+    table = _LocalMaxTable(f, grid, _cell_scale(f, grid), ledger)
+    acc = _Accessor(grid.N, ledger, table.value, table.values)
+    idx, value, success = _boosted_climb(acc, rng, params.search)
     return MaxResult(
         value=value,
         witness=grid.center(idx),

@@ -12,6 +12,7 @@ maximization to accuracy epsilon inherits the matching lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -68,8 +69,8 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
 
 def decision_rule(value: float, epsilon1: float) -> int:
     """OR decision from a maximizer estimate: 1 inside [3/4, 5/4] epsilon1, else 0."""
-    if epsilon1 <= 0.0:
-        raise ValueError("epsilon1 must be positive")
+    if not 0.0 < epsilon1 < math.inf:
+        raise ValueError(f"epsilon1 must be positive and finite, got {epsilon1}")
     return int(0.75 * epsilon1 <= value <= 1.25 * epsilon1)
 
 

@@ -106,6 +106,22 @@ def test_run_experiment_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"sizes": (2.5,)}, "sizes"),
+        ({"sizes": (16,), "trials": 2.5}, "trials"),
+        ({"sizes": (2**24 + 1,)}, "sizes must be at most"),
+        ({"sizes": (4,), "rho": 0.0}, "rho must"),
+        ({"sizes": (4,), "r": -1}, "r must"),
+        ({"sizes": (4,), "d": 0}, "d must"),
+    ],
+)
+def test_spec_refuses_bad_counts_and_class_parameters(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec("holder-error-vs-n", **fields)
+
+
 def test_qsearch_scaling_rows():
     spec = ExperimentSpec("qsearch-scaling", sizes=(16, 64, 256), trials=30, master_seed=5)
     rows = run_experiment(spec)

@@ -258,6 +258,13 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
          "patterns"),
         (["lowerbound-demo", "--n", "8", "--trials", "2", "--patterns", "one,one"],
          "patterns"),
+        (["scaling", "--kind", "queries-vs-eps", "--rho", "0"], "rho must"),
+        (["scaling", "--kind", "baseline-queries-vs-eps", "--rho", "0"], "rho must"),
+        (["scaling", "--kind", "queries-vs-eps", "--r", "-1"], "r must"),
+        (["holder-max", "--eps", "0.1", "--rho", "1e-300"], "epsilon"),
+        (["lowerbound-demo", "--n", "8", "--trials", "2", "--rho", "0.001"], "epsilon"),
+        (["qsearch-bench", "--n", "16777217", "--trials", "1"], "sizes"),
+        (["maxfind-bench", "--n", "16777217", "--trials", "1"], "sizes"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):

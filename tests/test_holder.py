@@ -98,6 +98,9 @@ def test_grid_cap_and_validation():
         build_grid(0, 1)
     with pytest.raises(ValueError):
         Grid(n=3, d=0)
+    for n, d in [(2.5, 1), (np.float64(4.0), 2), (3, 1.0)]:
+        with pytest.raises(ValueError, match="integer"):
+            Grid(n, d)
 
 
 # ---------------------------------------------------------------------------

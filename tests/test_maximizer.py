@@ -65,6 +65,12 @@ def test_choose_n_examples():
     assert choose_n(2.0, 1, 1, 1.0, h_conf=1.0) == 1
     with pytest.raises(ValueError):
         choose_n(0.0, 1, 0, 1.0)
+    with pytest.raises(ValueError, match="r must"):
+        choose_n(0.1, 1, -1, 1.0)
+    with pytest.raises(ValueError, match="rho must"):
+        choose_n(0.1, 1, 0, 0.0)
+    with pytest.raises(ValueError, match="beyond the cap"):
+        choose_n(0.1, 1, 0, 1e-300)
 
 
 def test_choose_n_bound_and_homogeneity():
@@ -82,6 +88,9 @@ def test_params_require_target():
     f = make_function("peak", 1, 0, 1.0)
     with pytest.raises(ValueError):
         quantum_maximize(f, MaximizerParams(), np.random.default_rng(0))
+    for n in (2.5, 0):
+        with pytest.raises(ValueError, match="n_override"):
+            MaximizerParams(n_override=n)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +400,24 @@ def test_constant_function_is_exact():
     res = quantum_maximize(f, MaximizerParams(n_override=3), np.random.default_rng(0))
     assert res.value == pytest.approx(0.5, abs=1e-12)
     assert res.witness.shape == (2,)
+
+
+def test_climb_tells_apart_values_closer_than_the_sup_bound_resolution():
+    # One cell's certified value is 1e-300, all others 0: far below ulp(1),
+    # yet the climb must still see it as the larger value.
+    n, best = 64, 37
+
+    def deriv(alpha, pts):
+        cells = np.clip((pts[:, 0] * n).astype(int), 0, n - 1)
+        return np.where(cells == best, 1e-300, 0.0)
+
+    f = HolderFunction(d=1, r=0, rho=1.0, deriv=deriv, known_max=1e-300)
+    found = 0
+    for seed in range(20):
+        res = quantum_maximize(f, MaximizerParams(n_override=n), np.random.default_rng(seed))
+        found += int(res.value == 1e-300)
+        assert res.value == f(res.witness)[0]
+    assert found >= 18
 
 
 def test_sine_error_bound_frequency():

@@ -84,8 +84,9 @@ def test_decision_rule_literal_branches():
         assert decision_rule(float(v), eps1) == want
     assert decision_rule(0.5 * eps1, eps1) == 0
     assert decision_rule(10.0, eps1) == 0
-    with pytest.raises(ValueError):
-        decision_rule(0.1, 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon1"):
+            decision_rule(0.1, bad)
 
 
 def test_or_trial_patterns_small():

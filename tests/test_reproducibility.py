@@ -12,6 +12,16 @@ Same version plus same master seed gives identical outputs.  A change
 that is meant to alter the random stream or a search decision updates
 the digests below and says so in CHANGES.md; any other change must leave
 them as they are.
+
+To re-record a digest after such a change:
+
+1. Run ``PYTHONPATH=src python tests/test_reproducibility.py`` at the
+   parent commit and at the change; each run prints every digest name
+   and value.
+2. Replace in GOLDEN only the values of the digests the change is meant
+   to alter; every other printed value must equal its GOLDEN entry.
+3. Compare the underlying lists (the RUNS entry of each changed digest)
+   between the two commits, and list the changed rows in CHANGES.md.
 """
 
 import hashlib
@@ -27,8 +37,8 @@ GOLDEN = {
     "peak-d2": "aba356c14912510835d4910a3fa31ca5a28a5ef7715ba8e7c6a2213666cad680",
     "cosprod-d3": "775bbffb4677ec70a180d50e84364ba2d8f13e1bcf6b9efa87de5e83503542ec",
     "find-maximum": "df8a0ed0daf35dda34bf1cd98c688b4950ba5e0f959a27bb6b500b9edb36762f",
-    "or-64": "63f2e77db070a79ee3d4c80eb03329569ce60360fe1f4b45687cecd643e893b0",
-    "bench": "7d4e18be4a37d30671210d137183f4dadbf96577cd447b53f8f89df62d133362",
+    "or-64": "f02d60fb0fe488431625138c143832a8f6073a3b5552a3d69ccf1595433b1cc7",
+    "bench": "6dcc776a10c80348354ed9a933010082fbc3419dc3153d367e3548e58767ba64",
 }
 
 
@@ -121,3 +131,8 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_outputs_match_golden_digest(name):
     assert digest(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(RUNS):
+        print(name, digest(name))
