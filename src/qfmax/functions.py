@@ -170,7 +170,9 @@ def _make_peak(d: int, r: int, rho: float, rng) -> HolderFunction:
     else:
         c = np.full(d, 0.5)
         m0 = 0.5
-    scale = peak_class_scale(d, r, round(float(rho), 12))
+    scale = peak_class_scale(d, r, float(rho))
+    if not scale > 0.0:
+        raise ValueError(f"rho {rho} is too small: the peak's class scale rounds to {scale}")
     b_class = 0.9 / scale
     b_sup = 1.3 / (0.75 * math.sqrt(d)) ** p
     b = min(b_class, b_sup)

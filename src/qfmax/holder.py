@@ -67,8 +67,11 @@ def multi_indices(d: int, max_order: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("need d >= 1 and max_order >= 0")
     out: list[tuple[int, ...]] = []
     for order in range(max_order + 1):
-        level = [a for a in itertools.product(range(order + 1), repeat=d) if sum(a) == order]
-        out.extend(sorted(level))
+        # stars and bars: d - 1 bars among order + d - 1 places, in lexicographic
+        # order, give the compositions of order into d parts in lexicographic order
+        for bars in itertools.combinations(range(order + d - 1), d - 1):
+            edges = (-1,) + bars + (order + d - 1,)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return tuple(out)
 
 
@@ -532,7 +535,7 @@ def make_bump_family(
     while m**d < n_bumps:
         m += 1
     radius = _SUPPORT_SHRINK * 0.5 / m
-    kappa = bump_class_scale(d, r, round(float(rho), 12))
+    kappa = bump_class_scale(d, r, float(rho))
     cap = min(1.0, kappa * radius ** (r + rho))
     if height is None:
         height = 0.95 * cap

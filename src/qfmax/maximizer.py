@@ -32,6 +32,7 @@ from .holder import (
     _check_class,
     _exponents,
     _monomial_sum,
+    _poly_at_offsets,
     _power_table,
     build_grid,
     multi_indices,
@@ -93,7 +94,7 @@ def default_h_conf(d: int, r: int) -> float:
 def choose_n(
     epsilon: float, d: int, r: int, rho: float, h_conf: float | None = None
 ) -> int:
-    """Smallest per-axis subdivision with (h_conf + 1) (1/n)^(r+rho) <= epsilon."""
+    """Smallest n with (h_conf + 1) (1/n)^(r+rho) <= epsilon, refused if n^d is past the cap."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     _check_class(d, r, rho)
@@ -101,14 +102,16 @@ def choose_n(
     if h_conf is None:
         h_conf = default_h_conf(d, r)
     try:
-        x = ((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho))
-        return max(1, math.ceil(x - 1e-12))
-    except OverflowError:
-        # n is past a float's range, so the grid is far past the cap
+        n = max(1, math.ceil(((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho)) - 1e-12))
+    except OverflowError:  # n is past a float's range, so the grid is far past the cap
+        n = DEFAULT_MAX_CUBES + 1
+    # 2^(bits of the cap) exceeds the cap, so no n >= 2 needs a higher power than that
+    if n ** min(d, DEFAULT_MAX_CUBES.bit_length()) > DEFAULT_MAX_CUBES:
         raise ValueError(
             f"epsilon {epsilon} at r + rho = {r + rho:g} needs a grid beyond the cap "
             f"of {DEFAULT_MAX_CUBES} cubes"
-        ) from None
+        )
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,8 @@ def choose_n(
 # exact closed forms for d <= 2 (candidate enumeration: corners, edge
 # vertices, interior critical point).  The general case runs certified
 # branch-and-bound with coefficient-derived gradient bounds, for all rows of
-# a batch in one frontier that splits every unfinished row's best box per pass.
+# a batch in one frontier that splits every unfinished row's best box per pass
+# and is rebuilt after each pass from the boxes still open, oldest first.
 
 
 def _linear_box_max(c0, grads, lo_off, hi_off):
@@ -222,18 +226,18 @@ def _gradient_terms(alphas, d: int):
 def _box_bounds(plan, coeffs, lo, hi):
     """Midpoint value and upper bound of each row's model over its offset box.
 
-    plan is (_exponents(alphas, d), _gradient_terms(alphas, d)).  The
-    value is the model at the box midpoint, as _poly_at_offsets computes
-    it.  The bound adds, per axis k, a sup bound on |d p / d t_k| (sum of
-    |c| prod m^beta over the partial's terms, m the largest |offset|,
-    powers by C pow) times the half width.  The power columns of the
-    midpoint and of m are built once per call and shared by all terms.
+    plan is (alphas, _gradient_terms(alphas, d)).  The value is the
+    model at the box midpoint, by _poly_at_offsets.  The bound adds, per
+    axis k, a sup bound on |d p / d t_k| (sum of |c| prod m^beta over the
+    partial's terms, m the largest |offset|, powers by C pow) times the
+    half width.  The power columns of m are built once per call and
+    shared by all terms.
     """
-    (factors, tops), (cols, scale, parts, grad_tops) = plan
+    alphas, (cols, scale, parts, grad_tops) = plan
     mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
     width = hi - lo
-    val = _monomial_sum(coeffs, factors, [_power_table(mid[:, k], t) for k, t in enumerate(tops)])
+    val = _poly_at_offsets(alphas, coeffs, mid)
     powers = [_power_table(m[:, k], t, _libm_pow) for k, t in enumerate(grad_tops)]
     terms = np.abs(coeffs[:, cols] * scale)
     slack = np.zeros(m.shape[0])
@@ -252,53 +256,41 @@ def _branch_bound_max(
     largest upper bound (oldest first on ties), stop once that bound is
     within eps1 of the incumbent, else split it along its longest axis
     and keep each half whose bound still clears the incumbent by eps1.
-    The open boxes of all rows share one frontier and every active row
+    The open boxes of all rows share one frontier and every unstopped row
     takes one such step per pass, so the numpy work is batched across
     rows while each row's sequence of steps is its own.  More than
     max_nodes splits in one row raise RuntimeError.
     """
     rows, d = lo_off.shape
-    plan = (_exponents(alphas, d), _gradient_terms(alphas, d))
+    plan = (alphas, _gradient_terms(alphas, d))
     lo = (centers + lo_off) - centers
     hi = (centers + hi_off) - centers
     best, ub = _box_bounds(plan, coeffs, lo, hi)
     ub_final = np.zeros(rows)
     nodes = np.zeros(rows, dtype=np.int64)
-    # The frontier holds one slot per open box: its row, bound and box.  New
-    # slots are appended and compaction keeps their order, so each row's
-    # slots lie in push order and its oldest box comes first.  Slots of
-    # popped boxes move to the extra row `rows`; they and the slots of
-    # stopped rows are dropped once they make up half the pool.
+    stopped = np.zeros(rows, dtype=bool)
+    # The frontier holds one slot per open box: its row, bound and box.  Each
+    # pass rebuilds it from the slots it neither popped nor stopped, in order,
+    # followed by the pushed children, so each row's slots lie in push order
+    # and its oldest box comes first.
     cell = np.arange(rows)
-    active = np.ones(rows + 1, dtype=bool)
-    active[rows] = False
-    open_boxes = np.ones(rows, dtype=np.int64)
-    top_ub = np.empty(rows + 1)
-    used, stale = rows, 0
     while True:
-        live = cell[:used]
-        top_ub.fill(-np.inf)
-        np.maximum.at(top_ub, live, ub[:used])
-        cand = np.flatnonzero((ub[:used] == top_ub[live]) & active[live])
+        top_ub = np.full(rows, -np.inf)
+        np.maximum.at(top_ub, cell, ub)
+        cand = np.flatnonzero(ub == top_ub[cell])
         if not cand.size:
             break
-        # each active row pops its first slot with the largest bound
-        cand = cand[np.argsort(cell[cand], kind="stable")]
-        first = np.ones(cand.size, dtype=bool)
-        first[1:] = cell[cand[1:]] != cell[cand[:-1]]
-        top = cand[first]
+        # each row pops its first slot with the largest bound, rows in order
+        top = cand[np.unique(cell[cand], return_index=True)[1]]
         tc = cell[top]
         done = ub[top] - best[tc] <= eps1
         finished = tc[done]
         ub_final[finished] = ub[top[done]]
-        active[finished] = False
-        stale += open_boxes[finished].sum()
+        stopped[finished] = True
         top, tc = top[~done], tc[~done]
         nodes[tc] += 1
         if np.any(nodes[tc] > max_nodes):
             raise RuntimeError("certified refinement exceeded the node cap")
-        cell[top] = rows
-        stale += top.size
         # split each popped box along its longest axis into a low and a high half
         pick = np.arange(top.size)
         blo, bhi = lo[top], hi[top]
@@ -315,32 +307,19 @@ def _branch_bound_max(
         b1 = np.where(val[: tc.size] > b0, val[: tc.size], b0)
         b2 = np.where(val[tc.size :] > b1, val[tc.size :], b1)
         best[tc] = b2
-        push = cub - np.concatenate([b1, b2]) > eps1
-        open_boxes[tc] += push[: tc.size].astype(np.int64) + push[tc.size :] - 1
-        if stale > used // 2:
-            keep = np.flatnonzero(active[cell[:used]])
-            used, stale = keep.size, 0
-            cell[:used], ub[:used] = cell[keep], ub[keep]
-            lo[:used], hi[:used] = lo[keep], hi[keep]
         # the low halves, then the high halves: each row's low child first
-        new = np.flatnonzero(push)
-        if used + new.size > cell.size:
-            size = 2 * (used + new.size)
-            cell, ub, lo, hi = (_grown(a, used, size) for a in (cell, ub, lo, hi))
-        fill = slice(used, used + new.size)
-        cell[fill], ub[fill] = crow[new], cub[new]
-        lo[fill], hi[fill] = clo[new], chi[new]
-        used += new.size
+        new = np.flatnonzero(cub - np.concatenate([b1, b2]) > eps1)
+        keep = ~stopped[cell]
+        keep[top] = False
+        keep = np.flatnonzero(keep)
+        cell, ub, lo, hi = (
+            np.concatenate([old.take(keep, 0), kids.take(new, 0)])
+            for old, kids in ((cell, crow), (ub, cub), (lo, clo), (hi, chi))
+        )
     # a row whose frontier ran empty ends at its incumbent
-    ub_final = np.where(~active[:rows] & ~(best > ub_final), ub_final, best)
+    ub_final = np.where(stopped & ~(best > ub_final), ub_final, best)
     cap = best + eps1
     return 0.5 * (best + np.where(cap < ub_final, cap, ub_final))
-
-
-def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
-    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
-    out[:used] = a[:used]
-    return out
 
 
 def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray:

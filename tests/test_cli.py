@@ -275,6 +275,31 @@ def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):
     assert err.count("\n") == 1
 
 
+def test_grid_cap_refusal_is_short(capsys):
+    code, out, err = run_cli(["holder-max", "--eps", "1e-300", "--function", "peak"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("qfmax: error: epsilon 1e-300") and "beyond the cap" in err
+    assert err.count("\n") == 1 and len(err) < 120
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["holder-max", "--function", "peak", "--d", "2", "--rho", "1e-300", "--n", "4"], 2,
+         "qfmax: error: rho 1e-300 is too small"),
+        (["holder-max", "--function", "bumpfamily", "--rho", "1e-300", "--n", "4"], 0,
+         "function: bump[0] (d=1, r=0, rho=1e-300)"),
+        (["lowerbound-demo", "--rho", "1e-300"], 2, "qfmax: error: epsilon"),
+    ],
+)
+def test_tiny_rho_is_not_taken_for_zero(argv, code, text, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert (out if code == 0 else err).startswith(text)
+    if code:
+        assert out == "" and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["qsearch-bench", "maxfind-bench"])
 def test_size_one_point_still_gets_rows_and_a_summary(command, capsys):
     code, out, _ = run_cli([command, "--n", "1,16,64", "--trials", "3"], capsys)

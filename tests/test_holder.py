@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -38,11 +39,9 @@ PROFILE_AT_HALF = 0.7165313105737893
 
 
 def brute_multi_indices(d, max_order):
-    out = set()
-    for a in itertools.product(range(max_order + 1), repeat=d):
-        if sum(a) <= max_order:
-            out.add(a)
-    return out
+    # every tuple of the cube, ordered by total order, then lexicographically
+    cube = itertools.product(range(max_order + 1), repeat=d)
+    return tuple(sorted((a for a in cube if sum(a) <= max_order), key=lambda a: (sum(a), a)))
 
 
 def sin_function(r, rho=1.0, amp=1.0):
@@ -111,12 +110,20 @@ def test_grid_cap_and_validation():
 @pytest.mark.parametrize("r", range(0, 7))
 def test_multi_index_enumeration_matches_brute_force(d, r):
     got = multi_indices(d, r)
-    assert set(got) == brute_multi_indices(d, r)
-    assert len(got) == len(set(got))
+    assert got == brute_multi_indices(d, r)
     assert len(got) == coefficient_count(d, r)
     assert coefficient_count(d, r) == math.factorial(d + r) // (
         math.factorial(d) * math.factorial(r)
     )
+
+
+def test_multi_indices_in_many_dimensions_are_quick():
+    multi_indices.cache_clear()
+    t0 = time.perf_counter()
+    got = multi_indices(40, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(got) == coefficient_count(40, 2) == 861
+    assert got[1] == (0,) * 39 + (1,) and got[-1] == (2,) + (0,) * 39
 
 
 def test_multi_index_order_is_stable():

@@ -71,6 +71,12 @@ def test_choose_n_examples():
         choose_n(0.1, 1, 0, 0.0)
     with pytest.raises(ValueError, match="beyond the cap"):
         choose_n(0.1, 1, 0, 1e-300)
+    # n^d against the cap of 2^24 cubes: 256^3 fits, 300^3 and 3^40 do not
+    assert choose_n(2.0 / 256, 3, 0, 1.0, h_conf=1.0) == 256
+    assert choose_n(2.0, 40, 0, 1.0, h_conf=1.0) == 1
+    for eps, d in ((2.0 / 300, 3), (0.9, 40), (1e-300, 1)):
+        with pytest.raises(ValueError, match="beyond the cap"):
+            choose_n(eps, d, 0, 1.0, h_conf=1.0)
 
 
 def test_choose_n_bound_and_homogeneity():
@@ -302,6 +308,28 @@ def test_root_box_bound_matches_per_model_heap_bitwise(d, degree):
         assert got[i].tobytes() == np.float64(want).tobytes()
 
 
+def test_large_frontier_matches_per_model_heap_bitwise():
+    # 120 rows of degree 4 in d=3 share one frontier; they stop after
+    # anywhere from 0 to a few hundred splits, so the frontier is rebuilt
+    # many times while some rows are gone and others keep splitting
+    rng = np.random.default_rng(0)
+    alphas = multi_indices(3, 4)
+    rows, eps1 = 120, 1e-4
+    coeffs = rng.normal(size=(rows, len(alphas))) * rng.choice([1e-3, 0.1, 1.0], size=(rows, 1))
+    centers = rng.random((rows, 3))
+    lo_off = -rng.uniform(0.0, 0.05, size=(rows, 3))
+    hi_off = rng.uniform(0.0, 0.05, size=(rows, 3))
+    got = _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1)
+    nodes = []
+    for i in range(rows):
+        want, k = reference_branch_bound(
+            alphas, coeffs[i], centers[i], lo_off[i], hi_off[i], eps1
+        )
+        nodes.append(k)
+        assert got[i].tobytes() == np.float64(want).tobytes()
+    assert min(nodes) == 0 and max(nodes) >= 100 and len(set(nodes)) >= 30
+
+
 @pytest.mark.parametrize(
     "cubic,linear,eps1",
     [(1.0, -1 / 16, 1 / 16), (-1.0, 1 / 16, 1 / 16), (1.0, -1 / 16, 13 / 32)],
@@ -315,6 +343,18 @@ def test_exact_ties_follow_the_heap_order(cubic, linear, eps1):
     center, half = np.array([[0.5]]), np.array([[0.5]])
     got = _branch_bound_max(alphas, coeffs, center, -half, half, eps1)[0]
     want, _ = reference_branch_bound(alphas, coeffs[0], center[0], -half[0], half[0], eps1)
+    assert got == want
+
+
+def test_tied_bounds_pop_the_box_pushed_in_an_earlier_pass():
+    # x^2/2 - x^4/2 on [-1/2, 1/2] is even, so mirrored boxes tie on their
+    # bounds, also a box pushed passes ago with a newly pushed one; popping
+    # the newer first would move the result by 7e-5
+    alphas = multi_indices(1, 4)
+    coeffs = np.array([[0.0, 0.0, 0.5, 0.0, -0.5]])
+    center, half = np.array([[0.5]]), np.array([[0.5]])
+    got = _branch_bound_max(alphas, coeffs, center, -half, half, 2.0**-10)[0]
+    want, _ = reference_branch_bound(alphas, coeffs[0], center[0], -half[0], half[0], 2.0**-10)
     assert got == want
 
 
