@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -162,6 +161,8 @@ class Grid:
             raise ValueError(f"grid needs integer n and d, got n={self.n!r}, d={self.d!r}")
         if self.n < 1 or self.d < 1:
             raise ValueError("grid needs n >= 1 and d >= 1")
+        if self.d > 64:  # numpy's cap on the axes of the cell index arrays
+            raise ValueError(f"grid needs d <= 64, got d={self.d}")
 
     @property
     def N(self) -> int:
@@ -277,13 +278,14 @@ def _exponents(alphas, d: int) -> tuple[tuple, tuple[int, ...]]:
     return factors, tops
 
 
-def _power_table(x: np.ndarray, top: int, power=operator.pow) -> list:
-    """Entry e is the e-th power of x for e = 0..top: 1.0, x itself, then power(x, e).
+def _power_table(x: np.ndarray, top: int) -> list:
+    """Entry e is the e-th power of x for e = 0..top: 1.0, x itself, then x ** e.
 
-    Both powers in use return x unchanged for e = 1, so x stands in for it.
+    Every power in the certification kernel comes from here, so model
+    values and gradient bounds share numpy's array power.
     """
     table = [1.0, x][: top + 1]
-    table.extend(power(x, e) for e in range(2, top + 1))
+    table.extend(x**e for e in range(2, top + 1))
     return table
 
 

@@ -191,11 +191,6 @@ def _quad_box_max_2d(C, lx, ux, ly, uy):
     return np.where(ok, np.maximum(best, v), best)
 
 
-def _libm_pow(x: np.ndarray, e: int) -> np.ndarray:
-    # C pow per element; numpy's vector power and square can differ from it in the last bit
-    return x if e == 1 else np.array([math.pow(v, e) for v in x.tolist()])
-
-
 @lru_cache(maxsize=None)
 def _gradient_terms(alphas, d: int):
     """The terms of each partial derivative d p / d t_k, built once per alphas.
@@ -229,16 +224,16 @@ def _box_bounds(plan, coeffs, lo, hi):
     plan is (alphas, _gradient_terms(alphas, d)).  The value is the
     model at the box midpoint, by _poly_at_offsets.  The bound adds, per
     axis k, a sup bound on |d p / d t_k| (sum of |c| prod m^beta over the
-    partial's terms, m the largest |offset|, powers by C pow) times the
-    half width.  The power columns of m are built once per call and
-    shared by all terms.
+    partial's terms, m the largest |offset|) times the half width.  The
+    power columns of m are built once per call by _power_table, as
+    _poly_at_offsets builds those of the midpoint, and shared by all terms.
     """
     alphas, (cols, scale, parts, grad_tops) = plan
     mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
     width = hi - lo
     val = _poly_at_offsets(alphas, coeffs, mid)
-    powers = [_power_table(m[:, k], t, _libm_pow) for k, t in enumerate(grad_tops)]
+    powers = [_power_table(m[:, k], t) for k, t in enumerate(grad_tops)]
     terms = np.abs(coeffs[:, cols] * scale)
     slack = np.zeros(m.shape[0])
     for k, (start, stop, part) in enumerate(parts):

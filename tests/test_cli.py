@@ -265,6 +265,8 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["lowerbound-demo", "--n", "8", "--trials", "2", "--rho", "0.001"], "epsilon"),
         (["qsearch-bench", "--n", "16777217", "--trials", "1"], "sizes"),
         (["maxfind-bench", "--n", "16777217", "--trials", "1"], "sizes"),
+        (["holder-max", "--n", "1", "--d", "65", "--r", "0", "--function", "cosprod"],
+         "grid needs d <= 64"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):

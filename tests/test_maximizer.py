@@ -138,7 +138,9 @@ def test_local_max_interior_parabola():
     assert got == pytest.approx(1.0, abs=eps1)
 
 
-@pytest.mark.parametrize("d,degree", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "d,degree", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (1, 4), (2, 4)]
+)
 def test_local_max_vs_dense_grid(d, degree):
     rng = np.random.default_rng(100 + 10 * d + degree)
     eps1 = 0.02
@@ -177,8 +179,9 @@ def reference_branch_bound(alphas, coeffs, center, lo_off, hi_off, eps1, max_nod
     The batched frontier must reproduce it bit for bit, so its float
     operations are the ones the frontier copies: offsets are
     (center + lo_off) - center, polynomial terms are added one by one,
-    slack is summed over axes in order, and the powers in the gradient
-    bound are scalar powers.
+    slack is summed over axes in order, and every power, in the value
+    and in the gradient bound, is numpy's array power on a one-element
+    slice.
     """
     d = center.size
 
@@ -201,7 +204,7 @@ def reference_branch_bound(alphas, coeffs, center, lo_off, hi_off, eps1, max_nod
             term = abs(float(c))
             for k, a in enumerate(alpha):
                 if a:
-                    term *= m[k] ** a
+                    term *= (m[k : k + 1] ** a)[0]
             total += term
         return total
 

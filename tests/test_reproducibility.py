@@ -8,6 +8,16 @@ such counts (success rates and ledger means).  Floating-point values that
 depend on the platform's math library or LAPACK (error quantiles and the
 log-log fits) are left out, so the digests hold on any IEEE-754 machine.
 
+The digests cover models of degree r <= 2 only.  There the certification
+kernel takes no power above 2, and numpy computes ``x**2`` as the
+correctly rounded product ``x*x``.  For r >= 3, certified values use
+numpy's array power ``x ** e``.  With numpy 2.4.6 on an AVX-512 x86-64
+CPU, ``x**3`` over 100,000 uniform values in [0, 0.5) differed from the
+C library's ``pow`` in 5,406 of them, while a one-element array and a
+strided column gave the same bits as the full column.  Whether numpy's
+bits also differ between CPUs has not been measured, so no digest pins a
+value of degree r >= 3.
+
 Same version plus same master seed gives identical outputs.  A change
 that is meant to alter the random stream or a search decision updates
 the digests below and says so in CHANGES.md; any other change must leave
