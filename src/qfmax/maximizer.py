@@ -283,6 +283,9 @@ def _branch_bound_max(
         ub_final[finished] = ub[top[done]]
         stopped[finished] = True
         top, tc = top[~done], tc[~done]
+        if not top.size:
+            # every popped box met its stop rule, so no row has a box left
+            break
         nodes[tc] += 1
         if np.any(nodes[tc] > max_nodes):
             raise RuntimeError("certified refinement exceeded the node cap")

@@ -17,12 +17,14 @@ increments.  Simulation work is not the cost model: only the ledger reflects
 query complexity.  The search runs on ClassState: from the uniform start,
 every step keeps one amplitude shared by all marked indices and one shared
 by all unmarked indices.  Each predicate memoizes the chain of states its
-steps reach from the uniform start, each computed once by the recurrence,
-so a step is a lookup that still reads the truth table and charges one
-quantum query.  A measurement bisects the k sorted marked positions and
-solves the unmarked run after them in closed form, O(log k).  StateVector
-holds all N amplitudes, a step touches every one of them, and it serves as
-the reference the two-amplitude state is checked against.
+steps reach from the uniform start: every state links to its successor,
+computed once by the recurrence, so a step follows one link, still reads
+the truth table and charges one quantum query.  A measurement takes one
+uniform double from its source, a numpy Generator or anything else whose
+random() returns the next one, then bisects the k sorted marked positions
+and solves the unmarked run after them in closed form, O(log k).
+StateVector holds all N amplitudes, a step touches every one of them, and
+it serves as the reference the two-amplitude state is checked against.
 """
 
 from __future__ import annotations
@@ -105,13 +107,16 @@ class ClassState:
     unmarked index carries ``unmarked``.  ``positions`` holds the sorted
     marked indices of the predicate the state was amplified under, ``k``
     their number, and the state is entry ``step`` of that predicate's
-    chain of states reached from the uniform start.  The uniform start has
-    ``positions`` None and ``k`` 0: its two amplitudes are equal, so the
-    marking does not matter yet, and it may start under any predicate.
-    States are never modified, so chain entries are shared by every caller.
+    chain of states reached from the uniform start.  ``succ`` memoizes the
+    next entry: None until a step first leaves this state, then that
+    state.  The uniform start has ``positions`` None and ``k`` 0: its two
+    amplitudes are equal, so the marking does not matter yet, and it may
+    start under any predicate; its ``succ`` stays None.  Amplitudes never
+    change and ``succ`` is set once, so chain entries are shared by every
+    caller.
     """
 
-    __slots__ = ("dim", "marked", "unmarked", "positions", "k", "step")
+    __slots__ = ("dim", "marked", "unmarked", "positions", "k", "step", "succ")
 
     def __init__(
         self, dim: int, marked: float, unmarked: float, positions=None, step: int = 0
@@ -122,6 +127,7 @@ class ClassState:
         self.positions = positions
         self.k = 0 if positions is None else positions.size
         self.step = step
+        self.succ = None
 
     @classmethod
     def uniform(cls, dim: int) -> "ClassState":
@@ -202,11 +208,12 @@ class MarkPredicate:
     predicate is deterministic, the truth table is computed once and
     cached, which changes nothing observable.  ``mask_provider`` may
     supply the full table in one vectorized call.  The predicate also keeps
-    the chain of ClassStates its steps reach from the uniform start, built
-    one recurrence step at a time as grover_iteration asks for them.
+    the head of the chain of ClassStates its steps reach from the uniform
+    start: the uniform state marked by its table, whose successor links
+    grover_iteration extends one recurrence step at a time.
     """
 
-    __slots__ = ("dim", "ledger", "_marks", "_mask", "_chain", "_mask_provider")
+    __slots__ = ("dim", "ledger", "_marks", "_mask", "_head", "_mask_provider")
 
     def __init__(
         self,
@@ -220,7 +227,7 @@ class MarkPredicate:
         self.dim = dim
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._mask_provider = mask_provider
-        self._chain = None
+        self._head = None
         if callable(marks):
             self._marks = marks
             self._mask = None
@@ -257,27 +264,25 @@ def grover_iteration(
 
     Takes a ClassState or a StateVector (all dim amplitudes).  A ClassState
     step reads the truth table, as the phase oracle does, and returns the
-    next entry of the predicate's chain, computing it if no earlier step
-    has.  Charges exactly one quantum query.  Preserves the norm (both
+    state's successor in the predicate's chain, computing it if no earlier
+    step has.  Charges exactly one quantum query.  Preserves the norm (both
     factors are reflections, hence unitary for every dim >= 1).
     """
     if state.dim != pred.dim:
         raise ValueError(f"state dim {state.dim} != predicate dim {pred.dim}")
     mask = pred.mask()
     if isinstance(state, ClassState):
-        chain = pred._chain
-        if chain is None:
+        head = pred._head
+        if head is None:
             u = ClassState.uniform(pred.dim)
-            chain = pred._chain = [ClassState(u.dim, u.marked, u.unmarked, np.flatnonzero(mask))]
-        if state.positions is chain[0].positions:
-            step = state.step + 1
-        elif state.positions is None:
-            step = 1
-        else:
+            head = pred._head = ClassState(u.dim, u.marked, u.unmarked, np.flatnonzero(mask))
+        if state.positions is None:
+            state = head
+        elif state.positions is not head.positions:
             raise ValueError("state was amplified under another predicate")
-        if step == len(chain):
-            chain.append(chain[-1]._successor())
-        out = chain[step]
+        out = state.succ
+        if out is None:
+            out = state.succ = state._successor()
     else:
         flipped = np.where(mask, -state.amps, state.amps)
         out = StateVector._trusted(2.0 * flipped.mean() - flipped)
@@ -285,11 +290,14 @@ def grover_iteration(
     return out
 
 
-def measure(state: ClassState | StateVector, rng: np.random.Generator) -> int:
-    """Sample an index from |amps|^2 with one rng.random() draw.
+def measure(state: ClassState | StateVector, rng) -> int:
+    """Sample an index from |amps|^2 with one draw of rng.random().
 
-    Free of queries.  Indices are ordered as in the cumulative sum of the
-    probability vector, for a ClassState as for a StateVector.
+    rng is a numpy Generator or any source whose random() returns the next
+    uniform double in [0, 1); in search.qsearch it is the search's block of
+    uniforms, and the draw is the attempt's second one.  Free of queries.
+    Indices are ordered as in the cumulative sum of the probability vector,
+    for a ClassState as for a StateVector.
     """
     if isinstance(state, ClassState):
         return state.locate(rng.random() * state.total())

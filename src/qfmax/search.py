@@ -38,6 +38,10 @@ __all__ = [
 
 DEFAULT_MAX_QUANTUM_QUERIES = 2**24
 
+# Uniform doubles qsearch takes from its rng per call: two per attempt, so
+# one block serves 32 attempts.
+_UNIFORM_BLOCK = 64
+
 
 @dataclass
 class SearchParams:
@@ -111,6 +115,25 @@ class MaxResult:
     ledger: QueryLedger
 
 
+class _Uniforms:
+    """One search's uniform doubles, drawn from its rng a block at a time.
+
+    random() returns the next double of the current rng.random(_UNIFORM_BLOCK)
+    block and draws a new block when it runs out, so measure reads this
+    source exactly as it reads an rng.  Doubles left in the last block
+    when the search ends are dropped.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        def blocks():
+            while True:
+                yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+        self.random = blocks().__next__
+
+
 def qsearch(
     pred: MarkPredicate,
     rng: np.random.Generator,
@@ -125,10 +148,16 @@ def qsearch(
     lambda_ up to sqrt(dim).  Draws are clamped so that exactly
     ``max_queries`` quantum queries are consumed before giving up.
 
+    Randomness comes from rng in blocks of _UNIFORM_BLOCK doubles, each
+    block one rng.random call, and every attempt takes the next two: the
+    first u gives j = int(u * ceil(m)), the second is the measurement's
+    draw.  A search over one index draws nothing.
+
     The steps run on the two-amplitude ClassState.  Every attempt walks the
-    predicate's memoized chain from the same uniform start, so a step is a
-    lookup that still reads the truth table and charges one quantum query,
-    and a measurement is O(log k) in the number k of marked indices.
+    predicate's memoized chain from the same uniform start by successor
+    links, so a step is a lookup that still reads the truth table and
+    charges one quantum query, and a measurement is O(log k) in the number
+    k of marked indices.
 
     Returns a verified marked index, or None at budget exhaustion.
     """
@@ -139,18 +168,19 @@ def qsearch(
         # A zero-step attempt would repeat forever; one classical check
         # settles the only index.
         return 0 if pred.check(0) else None
+    uniforms = _Uniforms(rng)
+    draw = uniforms.random
     used = 0
     m = 1.0
     m_cap = math.sqrt(dim)
     start = ClassState.uniform(dim)
     while True:
-        j = int(rng.integers(0, math.ceil(m)))
-        j = min(j, max_queries - used)
+        j = min(int(draw() * math.ceil(m)), max_queries - used)
         state = start
         for _ in range(j):
             state = grover_iteration(state, pred)
         used += j
-        cand = measure(state, rng)
+        cand = measure(state, uniforms)
         if pred.check(cand):
             return cand
         if used >= max_queries:
@@ -181,7 +211,7 @@ class _Accessor:
         value_at, all_values = self._value_at, self._all_values
         return MarkPredicate(
             self.n,
-            lambda i: value_at(int(i)) > threshold,
+            lambda i: value_at(i) > threshold,
             self.ledger,
             mask_provider=lambda: all_values() > threshold,
         )

@@ -253,7 +253,11 @@ _MAXIMIZER = ("N", "epsilon") + _QC + ("mean_evaluations", "error_quantile_theta
 @pytest.mark.parametrize(
     "spec, point_columns",
     [
-        (ExperimentSpec("qsearch-scaling", sizes=(4, 8, 16), trials=3),
+        # A point whose trials all find the mark with no quantum query stays out
+        # of the fit and leaves no summary.  One trial does so with probability
+        # about 0.40 at n = 4 but 0.03 at n = 64, so at these sizes a point
+        # left out has probability below 1e-4 under any random stream.
+        (ExperimentSpec("qsearch-scaling", sizes=(64, 128, 256), trials=3),
          _POINT + ("mean_quantum_queries",)),
         (ExperimentSpec("maxfind-success", sizes=(4, 8, 16), trials=2), _POINT + _QC),
         (ExperimentSpec("holder-error-vs-n", sizes=(4, 8, 16), trials=2),

@@ -18,10 +18,18 @@ strided column gave the same bits as the full column.  Whether numpy's
 bits also differ between CPUs has not been measured, so no digest pins a
 value of degree r >= 3.
 
-Same version plus same master seed gives identical outputs.  A change
-that is meant to alter the random stream or a search decision updates
-the digests below and says so in CHANGES.md; any other change must leave
-them as they are.
+The random stream of a search is fixed in ``search.qsearch``: each call
+draws doubles from its rng in blocks of 64 (one ``rng.random(64)`` call
+serves 32 attempts), and every attempt takes the next two, the first for its
+step count j and the second for its measurement.  The threshold climb
+draws its start index from the rng itself with ``rng.integers``.
+
+Same version plus same master seed gives identical outputs.  Outputs are
+not kept identical across versions: a change that is meant to alter the
+random stream or a search decision updates the digests below and says so
+in CHANGES.md; any other change must leave them as they are.  Streams
+from before the block draws (one ``rng.integers`` and one ``rng.random``
+per attempt) are not reproduced.
 
 To re-record a digest after such a change:
 
@@ -31,7 +39,14 @@ To re-record a digest after such a change:
 2. Replace in GOLDEN only the values of the digests the change is meant
    to alter; every other printed value must equal its GOLDEN entry.
 3. Compare the underlying lists (the RUNS entry of each changed digest)
-   between the two commits, and list the changed rows in CHANGES.md.
+   between the two commits and report in CHANGES.md:
+
+   - after a change to a search decision, the changed rows;
+   - after a deliberate change of the random stream, which alters nearly
+     every row, each digest's row count and the old and new means of its
+     ledger counts and success flags.  A threshold climb spends its whole
+     quantum budget whatever the stream, so its quantum queries stay
+     equal; the other means should agree within sampling error.
 """
 
 import hashlib
@@ -44,11 +59,11 @@ from qfmax import bench, maximizer, reduction, search
 from qfmax.functions import make_function
 
 GOLDEN = {
-    "peak-d2": "aba356c14912510835d4910a3fa31ca5a28a5ef7715ba8e7c6a2213666cad680",
-    "cosprod-d3": "775bbffb4677ec70a180d50e84364ba2d8f13e1bcf6b9efa87de5e83503542ec",
-    "find-maximum": "df8a0ed0daf35dda34bf1cd98c688b4950ba5e0f959a27bb6b500b9edb36762f",
-    "or-64": "f02d60fb0fe488431625138c143832a8f6073a3b5552a3d69ccf1595433b1cc7",
-    "bench": "6dcc776a10c80348354ed9a933010082fbc3419dc3153d367e3548e58767ba64",
+    "peak-d2": "f83050eb04036c3b1ada55055434a0a72ef8b71992ae4841674eac43dcc7ffe7",
+    "cosprod-d3": "1df22a26ad6e55e39eab8624a877e45a518427d50d99022e85f3f255de4573d2",
+    "find-maximum": "4d1bd17299542f451354464494f983f5e268551e4eebeda1305f08d29eac5c0c",
+    "or-64": "795d1a33162a08742fad411210653c3ca148b6f262d8380da08024594e649835",
+    "bench": "d50355f7338458e77bc9b3935670e71e30948375a07e23138df60d1762731c03",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfmax.bench import fit_loglog_slope, trial_rng
+from qfmax.holder import DEFAULT_MAX_CUBES
 from qfmax.qcore import MarkPredicate, QueryLedger
 from qfmax.search import (
     DEFAULT_MAX_QUANTUM_QUERIES,
@@ -114,6 +115,70 @@ def test_qsearch_single_element_space():
     assert qsearch(pred, np.random.default_rng(0), SearchParams(), 10) == 0
     pred = MarkPredicate(1, lambda i: False, led)
     assert qsearch(pred, np.random.default_rng(0), SearchParams(), 10) is None
+
+
+def test_top_uniform_draws_the_largest_step_count():
+    # j = int(u * ceil(m)) for u < 1; ceil(m) <= sqrt(dim) <= 4096 under the
+    # 2^24 size cap, and there the largest double below 1 still gives j < ceil(m)
+    u = np.nextafter(1.0, 0.0)
+    assert math.isqrt(DEFAULT_MAX_CUBES) == 4096
+    assert all(int(u * c) == c - 1 for c in range(1, 4097))
+
+
+class _Blocks:
+    """A Generator that counts the rng.random calls made on it."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return self.gen.random(size)
+
+
+class _StepLog(MarkPredicate):
+    """Records the quantum queries charged so far at every classical check."""
+
+    __slots__ = ("at_check",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.at_check = []
+
+    def check(self, index):
+        self.at_check.append(self.ledger.quantum_queries)
+        return super().check(index)
+
+
+def test_qsearch_past_one_block_charges_its_budget_and_repeats():
+    ledgers = []
+    for _ in range(2):
+        led = QueryLedger()
+        rng = _Blocks(11)
+        assert qsearch(MarkPredicate(64, lambda i: False, led), rng, SearchParams(), 300) is None
+        assert led.quantum_queries == 300
+        attempts = led.classical_queries
+        assert attempts > 32
+        # two uniforms per attempt, 64 per block
+        assert rng.calls == math.ceil(attempts / 32)
+        ledgers.append((led.quantum_queries, led.classical_queries))
+    assert ledgers[0] == ledgers[1]
+
+
+def test_drawn_step_counts_are_uniform_below_the_cap():
+    # m reaches its cap sqrt(49) = 7 after 15 failed attempts; from then on
+    # j is uniform on {0, ..., 6}
+    pred = _StepLog(49, lambda i: False)
+    assert qsearch(pred, np.random.default_rng(12), SearchParams(), 20_000) is None
+    # j of every attempt from the 16th on, leaving out the last, cut by the budget
+    steps = np.diff([0] + pred.at_check)[15:-1]
+    counts = np.bincount(steps, minlength=7)
+    assert counts.size == 7
+    trials, p = steps.size, 1.0 / 7.0
+    assert trials > 5000
+    sigma = math.sqrt(trials * p * (1.0 - p))
+    assert np.all(np.abs(counts - trials * p) <= 3.0 * sigma), counts
 
 
 def test_qsearch_returns_only_marked_indices():
