@@ -45,7 +45,7 @@ state = uniform_state(N)
 for _ in range(best_j):
     state = grover_iteration(state, pred)
 rng = np.random.default_rng(1)
-draws = np.array([measure(state, rng) for _ in range(200)])
+draws = np.array([measure(state, rng.random()) for _ in range(200)])
 hit = np.isin(draws, MARKED).mean()
 print(f"after {best_j} steps, 200 measurements land on a marked index "
       f"{hit:.0%} of the time")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .holder import HolderFunction, _cell_scale, build_grid
+from .holder import HolderFunction, build_grid
 from .maximizer import local_max_at, local_max_values
 from .qcore import QueryLedger
 from .search import MaxResult
@@ -24,7 +24,7 @@ def grid_maximize(f: HolderFunction, n: int) -> MaxResult:
     """Deterministic exhaustive scan over all n^d local model maxima."""
     grid = build_grid(n, f.d)
     ledger = QueryLedger()
-    vals = local_max_values(f, grid, _cell_scale(f, grid), ledger)
+    vals = local_max_values(f, grid, ledger)
     ledger.classical_queries += grid.N
     i = int(np.argmax(vals))
     return MaxResult(
@@ -54,7 +54,7 @@ def random_maximize(
     chosen.sort()
     centers = grid.centers(chosen)
     ledger = QueryLedger()
-    vals = local_max_at(f, centers, 0.5 * grid.h, _cell_scale(f, grid), ledger)
+    vals = local_max_at(f, grid, centers, ledger)
     ledger.classical_queries += k
     j = int(np.argmax(vals))
     return MaxResult(

@@ -35,6 +35,12 @@ __all__ = ["available_functions", "make_function", "peak_class_scale"]
 _TWO_PI = 2.0 * math.pi
 
 
+def _two_pi_power(name: str, r: int) -> float:
+    if r > 386:  # (2 pi)^387 passes the largest double
+        raise ValueError(f"{name} needs r <= 386, got r={r}: (2 pi)^r overflows")
+    return _TWO_PI**r
+
+
 # ---------------------------------------------------------------------------
 # sin1d
 
@@ -51,7 +57,7 @@ def _make_sin1d(d: int, r: int, rho: float, rng) -> HolderFunction:
         return amp * _TWO_PI**k * np.sin(_TWO_PI * pts[:, 0] + phase + k * math.pi / 2.0)
 
     # Holder quotient of sin is at most min(2, 2pi h) / h^rho <= 2 pi^rho.
-    bound = amp * _TWO_PI**r * 2.0 * math.pi**rho
+    bound = amp * _two_pi_power("sin1d", r) * 2.0 * math.pi**rho
     return HolderFunction(
         d=1,
         r=r,
@@ -73,7 +79,7 @@ def _make_cosprod(d: int, r: int, rho: float, rng) -> HolderFunction:
         c = rng.uniform(0.25, 0.75, size=d)
     else:
         c = np.full(d, 0.5)
-    amp = 0.95 / (d * _TWO_PI**r * 2.0 * math.pi**rho)
+    amp = 0.95 / (d * _two_pi_power("cosprod", r) * 2.0 * math.pi**rho)
 
     def deriv(alpha, pts):
         pts = _as_points(pts, d)

@@ -172,12 +172,8 @@ class Grid:
     def h(self) -> float:
         return 1.0 / self.n
 
-    def coords(self, i: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unravel_index(int(i), (self.n,) * self.d))
-
     def center(self, i: int) -> np.ndarray:
-        a = np.asarray(self.coords(i), dtype=float)
-        return (2.0 * a + 1.0) / (2.0 * self.n)
+        return self.centers(np.array([int(i)]))[0]
 
     def centers(self, cells: np.ndarray | None = None) -> np.ndarray:
         """Centers of the flat cells (default all), row k matching cells[k]."""
@@ -247,6 +243,8 @@ def taylor_tableau(
 
     Charges coefficient_count(d, r) evaluations per center to the ledger.
     """
+    if f.r > 170:  # every alpha! <= r!, and 171! passes the largest double
+        raise ValueError(f"Taylor models need r <= 170, got r={f.r}: r! overflows")
     centers = _as_points(centers, f.d)
     alphas = multi_indices(f.d, f.r)
     cols = [np.asarray(f.deriv(a, centers), dtype=float) / _alpha_factorial(a) for a in alphas]
@@ -409,18 +407,26 @@ def bump_profile(u, order: int = 0) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def _profile_samples(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """size points of [-1, 1] and phi^(order) there, refused if one is not finite."""
+    g = np.linspace(-1.0, 1.0, size)
+    with np.errstate(all="ignore"):  # refused below, without a numpy warning
+        v = bump_profile(g, order)
+    if not np.isfinite(v).all():
+        raise ValueError(f"bump profile derivative of order {order} is not finite")
+    return g, v
+
+
 @lru_cache(maxsize=None)
 def _profile_sup(order: int) -> float:
-    g = np.linspace(-1.0, 1.0, 8001)
-    return float(np.abs(bump_profile(g, order)).max())
+    return float(np.abs(_profile_samples(order, 8001)[1]).max())
 
 
 @lru_cache(maxsize=None)
 def _profile_seminorm(order: int, rho_key: float) -> float:
     """Dense estimate of the 1-d rho-Holder seminorm of phi^(order)."""
     rho = float(rho_key)
-    g = np.linspace(-1.0, 1.0, 20001)
-    v = bump_profile(g, order)
+    g, v = _profile_samples(order, 20001)
     step = g[1] - g[0]
     worst = 0.0
     stride = 1

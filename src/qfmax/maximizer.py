@@ -88,7 +88,7 @@ def default_h_conf(d: int, r: int) -> float:
     and sum r!/alpha! = d^r, giving d^r / r! times ||t - center||^(r+rho)
     with ||t - center|| <= 1/(2n) <= 1/n.
     """
-    return float(d**r) / math.factorial(r)
+    return d**r / math.factorial(r)
 
 
 def choose_n(
@@ -99,11 +99,12 @@ def choose_n(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     _check_class(d, r, rho)
     _check_h_conf(h_conf)
-    if h_conf is None:
-        h_conf = default_h_conf(d, r)
     try:
+        if h_conf is None:
+            # d^r / r! <= e^d overflows only for d > 709, where even n = 2 is past the cap
+            h_conf = default_h_conf(d, r)
         n = max(1, math.ceil(((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho)) - 1e-12))
-    except OverflowError:  # n is past a float's range, so the grid is far past the cap
+    except OverflowError:  # n or h_conf is past a float's range, so the grid is far past the cap
         n = DEFAULT_MAX_CUBES + 1
     # 2^(bits of the cap) exceeds the cap, so no n >= 2 needs a higher power than that
     if n ** min(d, DEFAULT_MAX_CUBES.bit_length()) > DEFAULT_MAX_CUBES:
@@ -373,30 +374,30 @@ def local_max_taylor(model: TaylorModel, lo, hi, eps1: float) -> float:
 
 def local_max_at(
     f: HolderFunction,
+    grid: Grid,
     centers: np.ndarray,
-    half_width: float,
-    eps1: float,
     ledger: QueryLedger | None = None,
 ) -> np.ndarray:
-    """Certified local maxima of f's Taylor models on cells around centers.
+    """Certified local maxima of f's Taylor models on the grid cells at centers.
 
-    Vectorized over cells: closed forms for the low degrees, otherwise one
-    branch-and-bound frontier shared by all cells.  Charges
-    coefficient_count(d, r) evaluations per center.
+    Each model is maximized over its cell, of half width grid.h / 2, within
+    eps1 = (1/n)^(r+rho), the order of its model error.  Vectorized over
+    cells: closed forms for the low degrees, otherwise one branch-and-bound
+    frontier shared by all cells.  Charges coefficient_count(d, r)
+    evaluations per center.
     """
     alphas, coeffs = taylor_tableau(f, centers, ledger)
-    hi_off = np.full((coeffs.shape[0], f.d), half_width)
-    return _box_max(alphas, coeffs, centers, -hi_off, hi_off, eps1)
+    hi_off = np.full((coeffs.shape[0], f.d), 0.5 * grid.h)
+    return _box_max(alphas, coeffs, centers, -hi_off, hi_off, _cell_scale(f, grid))
 
 
 def local_max_values(
     f: HolderFunction,
     grid: Grid,
-    eps1: float,
     ledger: QueryLedger | None = None,
 ) -> np.ndarray:
     """Certified local maxima for every cell of the grid, flat C-order."""
-    return local_max_at(f, grid.centers(), 0.5 * grid.h, eps1, ledger)
+    return local_max_at(f, grid, grid.centers(), ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +412,9 @@ class _LocalMaxTable:
     which point every remaining cell is built in one vectorized pass.
     """
 
-    def __init__(self, f: HolderFunction, grid: Grid, eps1: float, ledger: QueryLedger):
+    def __init__(self, f: HolderFunction, grid: Grid, ledger: QueryLedger):
         self.f = f
         self.grid = grid
-        self.eps1 = eps1
         self.ledger = ledger
         self._vals = np.full(grid.N, np.nan)
         self._complete = False
@@ -423,9 +423,7 @@ class _LocalMaxTable:
         v = self._vals.item(i)
         if v != v:  # NaN: the cell is not built yet
             center = self.grid.center(int(i))
-            v = float(
-                local_max_at(self.f, center[None, :], 0.5 * self.grid.h, self.eps1, self.ledger)[0]
-            )
+            v = float(local_max_at(self.f, self.grid, center[None, :], self.ledger)[0])
             self._vals[i] = v
         return v
 
@@ -434,9 +432,7 @@ class _LocalMaxTable:
             missing = np.isnan(self._vals)
             if missing.any():
                 centers = self.grid.centers()[missing]
-                self._vals[missing] = local_max_at(
-                    self.f, centers, 0.5 * self.grid.h, self.eps1, self.ledger
-                )
+                self._vals[missing] = local_max_at(self.f, self.grid, centers, self.ledger)
             self._complete = True
         return self._vals
 
@@ -460,7 +456,7 @@ def quantum_maximize(
         raise ValueError("either epsilon or n_override must be set")
     grid = build_grid(n, f.d)
     ledger = QueryLedger()
-    table = _LocalMaxTable(f, grid, _cell_scale(f, grid), ledger)
+    table = _LocalMaxTable(f, grid, ledger)
     acc = _Accessor(grid.N, ledger, table.value, table.values)
     idx, value, success = _boosted_climb(acc, rng, params.search)
     return MaxResult(

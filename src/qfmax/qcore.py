@@ -20,11 +20,10 @@ by all unmarked indices.  Each predicate memoizes the chain of states its
 steps reach from the uniform start: every state links to its successor,
 computed once by the recurrence, so a step follows one link, still reads
 the truth table and charges one quantum query.  A measurement takes one
-uniform double from its source, a numpy Generator or anything else whose
-random() returns the next one, then bisects the k sorted marked positions
-and solves the unmarked run after them in closed form, O(log k).
-StateVector holds all N amplitudes, a step touches every one of them, and
-it serves as the reference the two-amplitude state is checked against.
+uniform double u in [0, 1), then bisects the k sorted marked positions and
+solves the unmarked run after them in closed form, O(log k).  StateVector
+holds all N amplitudes, a step touches every one of them, and it serves as
+the reference the two-amplitude state is checked against.
 """
 
 from __future__ import annotations
@@ -96,9 +95,6 @@ class StateVector:
         a = self.amps
         return (a.real * a.real + a.imag * a.imag)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"StateVector(dim={self.dim})"
-
 
 class ClassState:
     """Grover state of the search, stored as two class amplitudes.
@@ -106,9 +102,9 @@ class ClassState:
     Every marked index carries the real amplitude ``marked`` and every
     unmarked index carries ``unmarked``.  ``positions`` holds the sorted
     marked indices of the predicate the state was amplified under, ``k``
-    their number, and the state is entry ``step`` of that predicate's
-    chain of states reached from the uniform start.  ``succ`` memoizes the
-    next entry: None until a step first leaves this state, then that
+    their number, and the state is an entry of that predicate's chain of
+    states reached from the uniform start.  ``succ`` memoizes the next
+    entry: None until a step first leaves this state, then that
     state.  The uniform start has ``positions`` None and ``k`` 0: its two
     amplitudes are equal, so the marking does not matter yet, and it may
     start under any predicate; its ``succ`` stays None.  Amplitudes never
@@ -116,17 +112,14 @@ class ClassState:
     caller.
     """
 
-    __slots__ = ("dim", "marked", "unmarked", "positions", "k", "step", "succ")
+    __slots__ = ("dim", "marked", "unmarked", "positions", "k", "succ")
 
-    def __init__(
-        self, dim: int, marked: float, unmarked: float, positions=None, step: int = 0
-    ) -> None:
+    def __init__(self, dim: int, marked: float, unmarked: float, positions=None) -> None:
         self.dim = dim
         self.marked = marked
         self.unmarked = unmarked
         self.positions = positions
         self.k = 0 if positions is None else positions.size
-        self.step = step
         self.succ = None
 
     @classmethod
@@ -142,9 +135,7 @@ class ClassState:
         n, k = self.dim, self.k
         flipped = -self.marked
         mean = (k * flipped + (n - k) * self.unmarked) / n
-        return ClassState(
-            n, 2.0 * mean - flipped, 2.0 * mean - self.unmarked, self.positions, self.step + 1
-        )
+        return ClassState(n, 2.0 * mean - flipped, 2.0 * mean - self.unmarked, self.positions)
 
     def locate(self, x: float) -> int:
         """First index whose cumulative probability exceeds x; dim-1 if none.
@@ -202,59 +193,54 @@ def uniform_state(dim: int) -> StateVector:
 class MarkPredicate:
     """Deterministic boolean marking of indices, with query accounting.
 
-    ``marks`` is either a callable index -> bool or a boolean array of
-    length ``dim``.  The phase oracle conceptually re-evaluates the
-    predicate on every index at each amplification step; because the
-    predicate is deterministic, the truth table is computed once and
-    cached, which changes nothing observable.  ``mask_provider`` may
-    supply the full table in one vectorized call.  The predicate also keeps
-    the head of the chain of ClassStates its steps reach from the uniform
-    start: the uniform state marked by its table, whose successor links
-    grover_iteration extends one recurrence step at a time.
+    ``table`` is a boolean array of shape (dim,), or a zero-argument
+    callable returning one, called once at the first mask(); a table of
+    another shape is refused.  The phase oracle conceptually re-evaluates
+    the deterministic predicate at every step, so its truth table is built
+    once and cached.  check() uses ``check``, an index -> bool map, when
+    given, so verifying a candidate builds no table, and reads the table
+    otherwise.  The predicate also keeps the head of the chain of
+    ClassStates its steps reach from the uniform start: the uniform state
+    marked by its table, whose successor links grover_iteration extends
+    one step at a time.
     """
 
-    __slots__ = ("dim", "ledger", "_marks", "_mask", "_head", "_mask_provider")
+    __slots__ = ("dim", "ledger", "_mask", "_provider", "_check", "_head")
 
     def __init__(
         self,
         dim: int,
-        marks,
+        table: np.ndarray | Callable[[], np.ndarray],
         ledger: QueryLedger | None = None,
-        mask_provider: Callable[[], np.ndarray] | None = None,
+        check: Callable[[int], bool] | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.dim = dim
         self.ledger = ledger if ledger is not None else QueryLedger()
-        self._mask_provider = mask_provider
+        self._check = check
         self._head = None
-        if callable(marks):
-            self._marks = marks
-            self._mask = None
+        if callable(table):
+            self._mask, self._provider = None, table
         else:
-            arr = np.asarray(marks, dtype=bool)
-            if arr.shape != (dim,):
-                raise ValueError("mark table must have shape (dim,)")
-            self._mask = arr
-            self._marks = lambda i: bool(arr[i])
+            self._mask, self._provider = self._shaped(table), None
+
+    def _shaped(self, table) -> np.ndarray:
+        arr = np.asarray(table, dtype=bool)
+        if arr.shape != (self.dim,):
+            raise ValueError(f"mark table must have shape ({self.dim},), got {arr.shape}")
+        return arr
 
     def mask(self) -> np.ndarray:
         if self._mask is None:
-            if self._mask_provider is not None:
-                arr = np.asarray(self._mask_provider(), dtype=bool)
-                if arr.shape != (self.dim,):
-                    raise ValueError("mask provider returned wrong shape")
-                self._mask = arr
-            else:
-                self._mask = np.fromiter(
-                    (bool(self._marks(i)) for i in range(self.dim)), bool, self.dim
-                )
+            self._mask = self._shaped(self._provider())
         return self._mask
 
     def check(self, index: int) -> bool:
         """Classically verify one index (one classical query)."""
         self.ledger.classical_queries += 1
-        return bool(self._marks(int(index)))
+        i = int(index)
+        return bool(self._check(i) if self._check is not None else self.mask()[i])
 
 
 def grover_iteration(
@@ -290,20 +276,19 @@ def grover_iteration(
     return out
 
 
-def measure(state: ClassState | StateVector, rng) -> int:
-    """Sample an index from |amps|^2 with one draw of rng.random().
+def measure(state: ClassState | StateVector, u: float) -> int:
+    """Sample an index from |amps|^2 given one uniform double u in [0, 1).
 
-    rng is a numpy Generator or any source whose random() returns the next
-    uniform double in [0, 1); in search.qsearch it is the search's block of
-    uniforms, and the draw is the attempt's second one.  Free of queries.
-    Indices are ordered as in the cumulative sum of the probability vector,
-    for a ClassState as for a StateVector.
+    Returns the first index whose cumulative probability exceeds u times
+    the total mass; in search.qsearch u is the attempt's second uniform.
+    Free of queries.  Indices are ordered as in the cumulative sum of the
+    probability vector, for a ClassState as for a StateVector.
     """
     if isinstance(state, ClassState):
-        return state.locate(rng.random() * state.total())
+        return state.locate(u * state.total())
     p = state.probabilities()
     c = np.cumsum(p)
-    x = rng.random() * c[-1]
+    x = u * c[-1]
     i = int(np.searchsorted(c, x, side="right"))
     return min(i, state.dim - 1)
 

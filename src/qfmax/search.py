@@ -115,25 +115,6 @@ class MaxResult:
     ledger: QueryLedger
 
 
-class _Uniforms:
-    """One search's uniform doubles, drawn from its rng a block at a time.
-
-    random() returns the next double of the current rng.random(_UNIFORM_BLOCK)
-    block and draws a new block when it runs out, so measure reads this
-    source exactly as it reads an rng.  Doubles left in the last block
-    when the search ends are dropped.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        def blocks():
-            while True:
-                yield from rng.random(_UNIFORM_BLOCK).tolist()
-
-        self.random = blocks().__next__
-
-
 def qsearch(
     pred: MarkPredicate,
     rng: np.random.Generator,
@@ -150,8 +131,9 @@ def qsearch(
 
     Randomness comes from rng in blocks of _UNIFORM_BLOCK doubles, each
     block one rng.random call, and every attempt takes the next two: the
-    first u gives j = int(u * ceil(m)), the second is the measurement's
-    draw.  A search over one index draws nothing.
+    first u gives j = int(u * ceil(m)), the second is passed to measure.
+    Doubles left in the last block when the search ends are dropped.  A
+    search over one index draws nothing.
 
     The steps run on the two-amplitude ClassState.  Every attempt walks the
     predicate's memoized chain from the same uniform start by successor
@@ -168,8 +150,12 @@ def qsearch(
         # A zero-step attempt would repeat forever; one classical check
         # settles the only index.
         return 0 if pred.check(0) else None
-    uniforms = _Uniforms(rng)
-    draw = uniforms.random
+
+    def uniforms():
+        while True:
+            yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+    draw = uniforms().__next__
     used = 0
     m = 1.0
     m_cap = math.sqrt(dim)
@@ -180,7 +166,7 @@ def qsearch(
         for _ in range(j):
             state = grover_iteration(state, pred)
         used += j
-        cand = measure(state, uniforms)
+        cand = measure(state, draw())
         if pred.check(cand):
             return cand
         if used >= max_queries:
@@ -211,9 +197,9 @@ class _Accessor:
         value_at, all_values = self._value_at, self._all_values
         return MarkPredicate(
             self.n,
-            lambda i: value_at(i) > threshold,
+            lambda: all_values() > threshold,
             self.ledger,
-            mask_provider=lambda: all_values() > threshold,
+            check=lambda i: value_at(i) > threshold,
         )
 
 

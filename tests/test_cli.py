@@ -267,6 +267,19 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["maxfind-bench", "--n", "16777217", "--trials", "1"], "sizes"),
         (["holder-max", "--n", "1", "--d", "65", "--r", "0", "--function", "cosprod"],
          "grid needs d <= 64"),
+        (["holder-max", "--function", "bumpfamily", "--n", "2", "--r", "44"],
+         "bump profile derivative of order 44"),
+        (["holder-max", "--function", "bumpfamily", "--d", "2", "--r", "44", "--n", "1"],
+         "bump profile derivative of order 44"),
+        (["lowerbound-demo", "--n", "4", "--r", "44", "--trials", "1"],
+         "bump profile derivative of order 44"),
+        (["holder-max", "--function", "cosprod", "--d", "1", "--r", "171", "--eps", "0.1"],
+         "Taylor models need r <= 170"),
+        (["holder-max", "--function", "cosprod", "--r", "387", "--eps", "0.1"],
+         "cosprod needs r <= 386"),
+        (["holder-max", "--function", "cosprod", "--d", "10000", "--r", "300", "--eps", "0.1"],
+         "epsilon 0.1 at r + rho = 301 needs a grid beyond the cap"),
+        (["holder-max", "--function", "sin1d", "--r", "387", "--n", "2"], "sin1d needs r <= 386"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):

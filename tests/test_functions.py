@@ -110,6 +110,15 @@ def test_peak_is_class_member(d, r, rho):
     assert q <= 1.0
 
 
+@pytest.mark.parametrize("name", ["sin1d", "cosprod"])
+def test_two_pi_scaled_families_stop_where_the_power_overflows(name):
+    # both scale by (2 pi)^r, the largest double lies between orders 386 and 387
+    f = make_function(name, 1, 386, 1.0)
+    assert math.isfinite(f.seminorm_bound) and math.isfinite(f.sup_bound)
+    with pytest.raises(ValueError, match="r <= 386"):
+        make_function(name, 1, 387, 1.0)
+
+
 def test_peak_rejects_r_above_two():
     with pytest.raises(ValueError):
         make_function("peak", 1, 3, 1.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfmax.functions import make_function
 from qfmax.holder import (
     Grid,
     HolderFunction,
@@ -373,6 +374,23 @@ def test_class_scale_positive_and_decreasing_in_r():
         prev = k
     with pytest.raises(ValueError):
         bump_class_scale(1, 0, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_class_scale_refuses_a_profile_order_past_double_range(d):
+    # Order 44 is the first whose derivative is not finite on the 20,001-point
+    # seminorm grid.  max() used to drop its NaN: at d = 1 the scale divided
+    # by zero, at d >= 2 the seminorm read 0 and kappa came out wrong.
+    assert 0.0 < bump_class_scale(d, 43, 1.0) < math.inf
+    with pytest.raises(ValueError, match="order 44 is not finite"):
+        bump_class_scale(d, 44, 1.0)
+
+
+def test_taylor_models_stop_where_the_factorial_overflows():
+    f = make_function("cosprod", 1, 170, 1.0)
+    assert np.isfinite(taylor_model(f, [0.5]).coeffs).all()
+    with pytest.raises(ValueError, match="r <= 170"):
+        taylor_model(make_function("cosprod", 1, 171, 1.0), [0.5])
 
 
 def test_single_bump_with_requested_height():

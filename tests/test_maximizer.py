@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ def test_default_h_conf_formula():
     assert default_h_conf(1, 2) == pytest.approx(0.5)
     assert default_h_conf(2, 2) == pytest.approx(4 / 2)
     assert default_h_conf(3, 4) == pytest.approx(3**4 / 24)
+
+
+def test_default_h_conf_is_correctly_rounded_past_170():
+    # float(d**r) overflowed from r = 171 on; a Fraction converts to the
+    # correctly rounded float, as a true division of two ints does
+    for d, r in [(1, 171), (2, 171), (3, 400), (7, 170), (5, 37)]:
+        assert default_h_conf(d, r) == float(Fraction(d**r, math.factorial(r)))
+    for d in range(1, 8):
+        for r in range(3):
+            assert default_h_conf(d, r) == float(d**r) / math.factorial(r)
+    assert choose_n(0.1, 1, 171, 1.0) == 2
 
 
 def test_choose_n_examples():
@@ -392,7 +404,7 @@ def test_local_max_values_batch_matches_scalar_route(d, r):
     grid = build_grid(5, d)
     eps1 = grid.h ** (r + 1)
     led = QueryLedger()
-    batch = local_max_values(f, grid, eps1, led)
+    batch = local_max_values(f, grid, led)
     for i in range(grid.N):
         model = taylor_model(f, grid.center(i))
         lo, hi = grid.cube_bounds(i)
@@ -401,9 +413,9 @@ def test_local_max_values_batch_matches_scalar_route(d, r):
 
 @pytest.mark.parametrize("r,eps1", [(3, 0.0), (0, -1.0), (1, float("nan"))])
 def test_non_positive_eps1_is_refused_up_front(r, eps1):
-    f = make_function("cosprod", 1, r, 1.0)
+    model = taylor_model(make_function("cosprod", 1, r, 1.0), [0.5])
     with pytest.raises(ValueError, match="eps1"):
-        local_max_values(f, build_grid(4, 1), eps1)
+        local_max_taylor(model, [0.375], [0.625], eps1)
 
 
 @pytest.mark.parametrize(
@@ -513,7 +525,7 @@ def test_error_chain_and_conditional_exactness():
         inst = np.random.default_rng(3000 + t)
         f = make_function("peak", 1, 1, 1.0, rng=inst)
         res = quantum_maximize(f, MaximizerParams(n_override=n), inst)
-        table = local_max_values(f, grid, eps1, QueryLedger())
+        table = local_max_values(f, grid, QueryLedger())
         if res.value == table.max():
             checked += 1
             h_conf = default_h_conf(1, 1)

@@ -93,18 +93,18 @@ def _iterate(n, marks, j, ledger=None):
 
 
 def test_single_mark_dim4_one_iteration_is_certain():
-    s, _ = _iterate(4, lambda i: i == 2, 1)
+    s, _ = _iterate(4, np.arange(4) == 2, 1)
     assert abs(s.amps[2]) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(np.delete(s.amps, 2)).max() < 1e-12
 
 
 def test_no_marks_uniform_is_fixed_point():
-    s, _ = _iterate(6, lambda i: False, 3)
+    s, _ = _iterate(6, np.zeros(6, dtype=bool), 3)
     np.testing.assert_allclose(s.amps, uniform_state(6).amps, atol=1e-12)
 
 
 def test_all_marked_flips_global_sign():
-    s, _ = _iterate(5, lambda i: True, 1)
+    s, _ = _iterate(5, np.ones(5, dtype=bool), 1)
     np.testing.assert_allclose(s.amps, -uniform_state(5).amps, atol=1e-12)
     np.testing.assert_allclose(s.probabilities(), 0.2, atol=1e-12)
 
@@ -167,27 +167,27 @@ def test_matrix_oracle_equivalence():
 
 
 def test_grover_iteration_dim_mismatch():
-    pred = MarkPredicate(4, lambda i: i == 0)
+    pred = MarkPredicate(4, np.arange(4) == 0)
     with pytest.raises(ValueError):
         grover_iteration(uniform_state(5), pred)
 
 
 def test_ledger_counts_iterations_not_measurements():
     led = QueryLedger()
-    pred = MarkPredicate(8, lambda i: i == 3, led)
+    pred = MarkPredicate(8, np.arange(8) == 3, led)
     s = uniform_state(8)
     for expected in (1, 2, 3):
         s = grover_iteration(s, pred)
         assert led.quantum_queries == expected
     rng = np.random.default_rng(0)
-    measure(s, rng)
+    measure(s, rng.random())
     assert led.quantum_queries == 3
     assert led.classical_queries == 0
 
 
 def test_ledger_classical_check_and_snapshot():
     led = QueryLedger()
-    pred = MarkPredicate(8, lambda i: i % 2 == 0, led)
+    pred = MarkPredicate(8, np.arange(8) % 2 == 0, led)
     assert pred.check(2) is True
     assert pred.check(3) is False
     assert led.classical_queries == 2
@@ -200,23 +200,62 @@ def test_ledger_classical_check_and_snapshot():
 def test_mark_predicate_sources_agree():
     marks = np.array([True, False, True, True, False])
     from_arr = MarkPredicate(5, marks)
-    from_fn = MarkPredicate(5, lambda i: bool(marks[i]))
-    np.testing.assert_array_equal(from_arr.mask(), from_fn.mask())
+    from_provider = MarkPredicate(5, lambda: marks)
+    np.testing.assert_array_equal(from_arr.mask(), from_provider.mask())
+    assert [from_arr.check(i) for i in range(5)] == [from_provider.check(i) for i in range(5)]
     with pytest.raises(ValueError):
         MarkPredicate(4, marks)
+
+
+def test_predicate_builds_its_table_at_the_first_mask_only():
+    # A check() that built the whole table would charge every cell's
+    # evaluations before the first amplification step, which the final
+    # ledger does not show.
+    marks = np.arange(12) % 5 == 1
+    builds = []
+
+    def provider():
+        builds.append(len(builds))
+        return marks
+
+    led = QueryLedger()
+    pred = MarkPredicate(12, provider, led, check=lambda i: i % 5 == 1)
+    assert [pred.check(i) for i in range(12)] == marks.tolist()
+    assert builds == [] and led.classical_queries == 12
+    state = ClassState.uniform(12)
+    for _ in range(3):
+        state = grover_iteration(state, pred)
+    np.testing.assert_array_equal(pred.mask(), marks)
+    assert builds == [0]
+    # without a check, check() reads the table, built once
+    pred = MarkPredicate(12, provider)
+    assert [pred.check(i) for i in range(12)] == marks.tolist()
+    assert builds == [0, 1]
+
+
+def test_predicate_tables_of_the_wrong_shape_are_refused():
+    with pytest.raises(ValueError, match="shape"):
+        MarkPredicate(6, np.ones(5, dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        MarkPredicate(6, np.ones((6, 1), dtype=bool))
+    # a provider is not called at construction, so its table is checked at mask()
+    pred = MarkPredicate(6, lambda: np.ones(7, dtype=bool), check=lambda i: True)
+    assert pred.check(3)
+    with pytest.raises(ValueError, match="shape"):
+        pred.mask()
 
 
 def test_measure_deterministic_state():
     s = StateVector([1.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(5)
-    assert all(measure(s, rng) == 0 for _ in range(20))
+    assert all(measure(s, rng.random()) == 0 for _ in range(20))
 
 
 def test_measure_frequencies_uniform_dim2():
     rng = np.random.default_rng(31415)
     s = uniform_state(2)
     draws = 100_000
-    ones = sum(measure(s, rng) for _ in range(draws))
+    ones = sum(measure(s, rng.random()) for _ in range(draws))
     assert abs(ones / draws - 0.5) < 0.01
 
 
@@ -224,14 +263,14 @@ def test_measure_frequencies_complex_amplitudes():
     rng = np.random.default_rng(2718)
     s = StateVector([0.6, 0.8j])
     draws = 100_000
-    ones = sum(measure(s, rng) for _ in range(draws))
+    ones = sum(measure(s, rng.random()) for _ in range(draws))
     assert abs(ones / draws - 0.64) < 0.01
 
 
 def test_measure_reproducible_under_seed():
     s = uniform_state(10)
-    a = [measure(s, np.random.default_rng(99)) for _ in range(5)]
-    b = [measure(s, np.random.default_rng(99)) for _ in range(5)]
+    a = [measure(s, np.random.default_rng(99).random()) for _ in range(5)]
+    b = [measure(s, np.random.default_rng(99).random()) for _ in range(5)]
     assert a == b
 
 
@@ -290,7 +329,7 @@ def test_class_measure_keeps_the_cumsum_index_order(case, seed):
     compared = 0
     for _ in range(64):
         x = probe.random() * c[-1]
-        want, got = measure(ref, rng_ref), measure(cls, rng_cls)
+        want, got = measure(ref, rng_ref.random()), measure(cls, rng_cls.random())
         assert want == min(int(np.searchsorted(c, x, side="right")), n - 1)
         if np.abs(c - x).min() > 1e-9:
             assert got == want
@@ -306,14 +345,14 @@ def test_class_measure_hits_marked_at_the_closed_form_rate(case, seed):
     p = grover_success_probability(n, int(mask.sum()), j)
     rng = np.random.default_rng(seed)
     draws = 1000
-    hits = sum(bool(mask[measure(cls, rng)]) for _ in range(draws))
+    hits = sum(bool(mask[measure(cls, rng.random())]) for _ in range(draws))
     # 3 sigma of a binomial count, plus one draw for p near 0 or 1.
     assert abs(hits - draws * p) <= 3.0 * math.sqrt(draws * p * (1.0 - p)) + 1.0
 
 
 def test_class_state_refuses_a_second_predicate():
-    first = MarkPredicate(8, lambda i: i == 3)
-    second = MarkPredicate(8, lambda i: i == 5)
+    first = MarkPredicate(8, np.arange(8) == 3)
+    second = MarkPredicate(8, np.arange(8) == 5)
     s = grover_iteration(ClassState.uniform(8), first)
     with pytest.raises(ValueError):
         grover_iteration(s, second)
@@ -400,7 +439,7 @@ class _CountingPredicate(MarkPredicate):
 
 
 def test_each_class_step_reads_the_table_once_and_charges_one_query():
-    pred = _CountingPredicate(50, lambda i: i % 7 == 3)
+    pred = _CountingPredicate(50, np.arange(50) % 7 == 3)
     seen = []
     for j in (0, 5, 3, 12, 12):
         reads, queries = pred.reads, pred.ledger.quantum_queries
@@ -410,18 +449,23 @@ def test_each_class_step_reads_the_table_once_and_charges_one_query():
             seen.append((state, state.marked, state.unmarked))
         assert pred.reads - reads == j
         assert pred.ledger.quantum_queries - queries == j
-        assert state.step == j
+        # the walk ends at the j-th entry of the predicate's chain
+        entry = pred._head
+        for _ in range(j):
+            entry = entry.succ
+        assert j == 0 or state is entry
     # Later steps and repeated walks leave every earlier state as it was.
     for state, marked, unmarked in seen:
         assert (state.marked, state.unmarked) == (marked, unmarked)
 
 
 def test_chain_states_belong_to_one_predicate_and_uniform_starts_anywhere():
-    a = MarkPredicate(16, lambda i: i < 3)
-    b = MarkPredicate(16, lambda i: i < 3)
+    a = MarkPredicate(16, np.arange(16) < 3)
+    b = MarkPredicate(16, np.arange(16) < 3)
     s = grover_iteration(grover_iteration(ClassState.uniform(16), a), a)
     with pytest.raises(ValueError):
         grover_iteration(s, b)
     fresh = ClassState.uniform(16)
-    assert grover_iteration(fresh, b).step == grover_iteration(fresh, a).step == 1
+    assert grover_iteration(fresh, b) is b._head.succ
+    assert grover_iteration(fresh, a) is a._head.succ
     assert grover_iteration(fresh, a) is grover_iteration(ClassState.uniform(16), a)

@@ -34,8 +34,9 @@ per attempt) are not reproduced.
 To re-record a digest after such a change:
 
 1. Run ``PYTHONPATH=src python tests/test_reproducibility.py`` at the
-   parent commit and at the change; each run prints every digest name
-   and value.
+   parent commit and at the change.  Each run prints every digest name,
+   its value and ``ok`` or ``CHANGED`` against its GOLDEN entry, and
+   exits 1 if any digest changed.
 2. Replace in GOLDEN only the values of the digests the change is meant
    to alter; every other printed value must equal its GOLDEN entry.
 3. Compare the underlying lists (the RUNS entry of each changed digest)
@@ -159,5 +160,9 @@ def test_seeded_outputs_match_golden_digest(name):
 
 
 if __name__ == "__main__":
+    changed = False
     for name in sorted(RUNS):
-        print(name, digest(name))
+        value = digest(name)
+        changed |= value != GOLDEN[name]
+        print(name, value, "ok" if value == GOLDEN[name] else "CHANGED")
+    raise SystemExit(1 if changed else 0)

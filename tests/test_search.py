@@ -94,7 +94,7 @@ def test_sequence_oracle_refuses_nan(values):
 
 def test_qsearch_no_marks_exhausts_budget_exactly():
     led = QueryLedger()
-    pred = MarkPredicate(16, lambda i: False, led)
+    pred = MarkPredicate(16, np.zeros(16, dtype=bool), led)
     rng = np.random.default_rng(3)
     assert qsearch(pred, rng, SearchParams(), 50) is None
     assert led.quantum_queries == 50
@@ -102,7 +102,7 @@ def test_qsearch_no_marks_exhausts_budget_exactly():
 
 def test_qsearch_all_marked_is_immediate():
     led = QueryLedger()
-    pred = MarkPredicate(16, lambda i: True, led)
+    pred = MarkPredicate(16, np.ones(16, dtype=bool), led)
     idx = qsearch(pred, rng=np.random.default_rng(4), params=SearchParams(), max_queries=50)
     assert idx is not None
     assert led.quantum_queries == 0
@@ -111,9 +111,9 @@ def test_qsearch_all_marked_is_immediate():
 
 def test_qsearch_single_element_space():
     led = QueryLedger()
-    pred = MarkPredicate(1, lambda i: True, led)
+    pred = MarkPredicate(1, np.ones(1, dtype=bool), led)
     assert qsearch(pred, np.random.default_rng(0), SearchParams(), 10) == 0
-    pred = MarkPredicate(1, lambda i: False, led)
+    pred = MarkPredicate(1, np.zeros(1, dtype=bool), led)
     assert qsearch(pred, np.random.default_rng(0), SearchParams(), 10) is None
 
 
@@ -156,7 +156,8 @@ def test_qsearch_past_one_block_charges_its_budget_and_repeats():
     for _ in range(2):
         led = QueryLedger()
         rng = _Blocks(11)
-        assert qsearch(MarkPredicate(64, lambda i: False, led), rng, SearchParams(), 300) is None
+        pred = MarkPredicate(64, np.zeros(64, dtype=bool), led)
+        assert qsearch(pred, rng, SearchParams(), 300) is None
         assert led.quantum_queries == 300
         attempts = led.classical_queries
         assert attempts > 32
@@ -169,7 +170,7 @@ def test_qsearch_past_one_block_charges_its_budget_and_repeats():
 def test_drawn_step_counts_are_uniform_below_the_cap():
     # m reaches its cap sqrt(49) = 7 after 15 failed attempts; from then on
     # j is uniform on {0, ..., 6}
-    pred = _StepLog(49, lambda i: False)
+    pred = _StepLog(49, np.zeros(49, dtype=bool))
     assert qsearch(pred, np.random.default_rng(12), SearchParams(), 20_000) is None
     # j of every attempt from the 16th on, leaving out the last, cut by the budget
     steps = np.diff([0] + pred.at_check)[15:-1]
@@ -204,7 +205,7 @@ def test_qsearch_finds_single_mark_reliably():
     hits = 0
     for _ in range(TRIALS):
         target = int(rng.integers(0, n))
-        pred = MarkPredicate(n, lambda i, t=target: i == t)
+        pred = MarkPredicate(n, np.arange(n) == target)
         if qsearch(pred, rng, SearchParams(), budget) == target:
             hits += 1
     assert hits / TRIALS >= 0.95
@@ -225,7 +226,7 @@ def test_qsearch_query_scaling_single_mark():
             rng = trial_rng(424242, size_exp, t)
             target = int(rng.integers(0, n))
             led = QueryLedger()
-            pred = MarkPredicate(n, lambda i, m=target: i == m, led)
+            pred = MarkPredicate(n, np.arange(n) == target, led)
             assert qsearch(pred, rng, params, budget) == target
             total += led.quantum_queries + led.classical_queries
         pts.append((n, total / trials))
