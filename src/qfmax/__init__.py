@@ -34,7 +34,6 @@ from .holder import (
     BumpFamily,
     Grid,
     HolderFunction,
-    TaylorModel,
     build_grid,
     bump_class_scale,
     bump_profile,
@@ -44,15 +43,13 @@ from .holder import (
     membership_check,
     multi_indices,
     remainder_bound_check,
-    taylor_model,
     taylor_tableau,
 )
 from .maximizer import (
     MaximizerParams,
     choose_n,
     default_h_conf,
-    local_max_taylor,
-    local_max_values,
+    local_max_at,
     quantum_maximize,
 )
 from .qcore import (
@@ -83,7 +80,6 @@ __all__ = [
     "SearchParams",
     "SequenceOracle",
     "StateVector",
-    "TaylorModel",
     "available_functions",
     "binomial_margin",
     "build_grid",
@@ -102,8 +98,7 @@ __all__ = [
     "grid_maximize",
     "grover_iteration",
     "grover_success_probability",
-    "local_max_taylor",
-    "local_max_values",
+    "local_max_at",
     "make_bump_family",
     "make_function",
     "measure",
@@ -115,7 +110,6 @@ __all__ = [
     "random_maximize",
     "remainder_bound_check",
     "run_experiment",
-    "taylor_model",
     "taylor_tableau",
     "trial_rng",
     "uniform_state",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .holder import HolderFunction, build_grid
-from .maximizer import local_max_at, local_max_values
+from .maximizer import local_max_at
 from .qcore import QueryLedger
 from .search import MaxResult
 
@@ -24,7 +24,7 @@ def grid_maximize(f: HolderFunction, n: int) -> MaxResult:
     """Deterministic exhaustive scan over all n^d local model maxima."""
     grid = build_grid(n, f.d)
     ledger = QueryLedger()
-    vals = local_max_values(f, grid, ledger)
+    vals = local_max_at(f, grid, grid.centers(), ledger)
     ledger.classical_queries += grid.N
     i = int(np.argmax(vals))
     return MaxResult(

@@ -80,6 +80,8 @@ def _make_cosprod(d: int, r: int, rho: float, rng) -> HolderFunction:
     else:
         c = np.full(d, 0.5)
     amp = 0.95 / (d * _two_pi_power("cosprod", r) * 2.0 * math.pi**rho)
+    if not amp > 0.0:  # the divisor can overflow where (2 pi)^r alone does not
+        raise ValueError(f"cosprod amplitude underflows to 0 at d={d}, r={r}, rho={rho:g}")
 
     def deriv(alpha, pts):
         pts = _as_points(pts, d)

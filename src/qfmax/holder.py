@@ -1,4 +1,4 @@
-"""Holder smoothness classes on the unit cube: grids, Taylor models, bumps.
+"""Holder smoothness classes on the unit cube: grids, Taylor tableaux, bumps.
 
 The function class F(r, rho, d) consists of f in C^r([0,1]^d) with
 sup |f| <= 1 whose order-r partial derivatives are rho-Holder with constant
@@ -8,9 +8,11 @@ sup |f| <= 1 whose order-r partial derivatives are rho-Holder with constant
 
 Functions are represented by a derivative evaluator covering every
 multi-index up to order r, so degree-r Taylor models can be assembled at
-any point from exact derivative values.  Subdividing the cube into n^d
-congruent cells and modelling f around each cell center keeps the model
-error of order (1/n)^(r+rho) uniformly.
+any point from exact derivative values.  A model has one form: a row of
+the tableau (alphas, coeffs) that taylor_tableau builds at a batch of
+centers, evaluated at offsets from its center by eval_taylor.
+Subdividing the cube into n^d congruent cells and modelling f around each
+cell center keeps the model error of order (1/n)^(r+rho) uniformly.
 
 The bump family turns bit strings into smooth functions: each bit owns one
 cell of an m-per-edge partition and contributes a compactly supported C^inf
@@ -36,8 +38,6 @@ __all__ = [
     "HolderFunction",
     "Grid",
     "build_grid",
-    "TaylorModel",
-    "taylor_model",
     "taylor_tableau",
     "eval_taylor",
     "remainder_bound_check",
@@ -182,11 +182,6 @@ class Grid:
         a = np.stack(axes, axis=1).astype(float)
         return (2.0 * a + 1.0) / (2.0 * self.n)
 
-    def cube_bounds(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        c = self.center(i)
-        half = 0.5 * self.h
-        return c - half, c + half
-
     def cell_of(self, pts) -> np.ndarray:
         """Flat cell index containing each point (boundary goes downward)."""
         arr = _as_points(pts, self.d)
@@ -205,35 +200,20 @@ def build_grid(n: int, d: int) -> Grid:
 def _cell_scale(f: HolderFunction, grid: Grid) -> float:
     """(1/n)^(r+rho): the order of f's model error on one cell of the grid.
 
-    It is also the tolerance eps1 to which each cell's model is maximized.
+    It is also the tolerance eps1 to which each cell's model is maximized,
+    and is refused when it underflows to 0.
     """
-    return grid.h ** (f.r + f.rho)
+    scale = grid.h ** (f.r + f.rho)
+    if not scale > 0.0:
+        raise ValueError(
+            f"cell tolerance (1/n)^(r+rho) underflows to 0 at n={grid.n}, "
+            f"r+rho={f.r + f.rho:g}"
+        )
+    return scale
 
 
 # ---------------------------------------------------------------------------
 # Taylor models
-
-
-@dataclass(frozen=True)
-class TaylorModel:
-    """Degree-r Taylor polynomial around a center.
-
-    coeffs[k] multiplies prod((t - center) ** alphas[k]); the coefficient
-    for alpha is D^alpha f(center) / alpha!.
-    """
-
-    center: np.ndarray
-    alphas: tuple[tuple[int, ...], ...]
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        # exponents as tuples of ints: evaluation plans are cached per alphas
-        alphas = tuple(tuple(int(a) for a in alpha) for alpha in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
-
-    def coeff(self, alpha: tuple[int, ...]) -> float:
-        alpha = tuple(int(a) for a in alpha)
-        return float(self.coeffs[self.alphas.index(alpha)])
 
 
 def taylor_tableau(
@@ -254,13 +234,6 @@ def taylor_tableau(
     if ledger is not None:
         ledger.evaluations += centers.shape[0] * len(alphas)
     return alphas, coeffs
-
-
-def taylor_model(f: HolderFunction, center, ledger: QueryLedger | None = None) -> TaylorModel:
-    """Degree-r model of f at one center, built from exact derivatives."""
-    center = np.asarray(center, dtype=float).reshape(f.d)
-    alphas, coeffs = taylor_tableau(f, center[None, :], ledger)
-    return TaylorModel(center=center.copy(), alphas=alphas, coeffs=coeffs[0])
 
 
 @lru_cache(maxsize=None)
@@ -305,26 +278,20 @@ def _monomial_sum(c: np.ndarray, factors, powers) -> np.ndarray:
     return total
 
 
-def _poly_at_offsets(alphas, coeffs, offs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[..., k] * prod(offs ** alphas[k]) for each row of offs (M, d).
+def eval_taylor(alphas, coeffs, offsets: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] * prod(offsets ** alphas[k]) for each row of offsets (M, d).
 
-    coeffs is one coefficient vector shared by all rows, or (M, K) with
-    one coefficient row per row of offs.  Powers are numpy's, one column
-    per axis and exponent, and the terms are summed by _monomial_sum.
+    This evaluates a Taylor model: alphas and coeffs come from
+    taylor_tableau, and offsets are points minus the model's center.
+    coeffs is one coefficient row shared by all offsets, or (M, K) with
+    one row per offset.  Powers are numpy's, one column per axis and
+    exponent, and the terms are summed by _monomial_sum.
     """
-    m, d = offs.shape
+    m, d = offsets.shape
     factors, tops = _exponents(alphas, d)
-    powers = [_power_table(offs[:, k], top) for k, top in enumerate(tops)]
+    powers = [_power_table(offsets[:, k], top) for k, top in enumerate(tops)]
     cols = np.broadcast_to(np.asarray(coeffs, dtype=float), (m, len(alphas)))
     return _monomial_sum(cols, factors, powers)
-
-
-def eval_taylor(model: TaylorModel, pts) -> np.ndarray | float:
-    """Evaluate the model polynomial; scalar in, scalar out."""
-    arr = np.asarray(pts, dtype=float)
-    offs = _as_points(arr, model.center.size) - model.center
-    acc = _poly_at_offsets(model.alphas, model.coeffs, offs)
-    return float(acc[0]) if arr.ndim == 1 else acc
 
 
 def remainder_bound_check(
@@ -335,6 +302,9 @@ def remainder_bound_check(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Worst sampled |f - model| / (1/n)^(r+rho) over random (cell, point) pairs.
+
+    One tableau holds the models at the sampled cells' centers, one row
+    per pair, and eval_taylor evaluates each at its pair's point.
 
     For class members the ratio stays below a constant depending only on
     (d, r); pass that constant as h_conf to turn the check into a hard
@@ -347,14 +317,10 @@ def remainder_bound_check(
     denom = _cell_scale(f, grid)
     cells = rng.integers(0, grid.N, size=samples)
     offs = (rng.random((samples, f.d)) - 0.5) * grid.h
-    worst = 0.0
-    for cell in np.unique(cells):
-        sel = cells == cell
-        center = grid.center(int(cell))
-        pts = np.clip(center + offs[sel], 0.0, 1.0)
-        model = taylor_model(f, center)
-        resid = np.abs(f(pts) - eval_taylor(model, pts))
-        worst = max(worst, float(resid.max()) / denom)
+    centers = grid.centers(cells)
+    pts = np.clip(centers + offs, 0.0, 1.0)
+    alphas, coeffs = taylor_tableau(f, centers)
+    worst = float(np.abs(f(pts) - eval_taylor(alphas, coeffs, pts - centers)).max()) / denom
     if h_conf is not None and worst > h_conf:
         raise ValueError(
             f"remainder ratio {worst:.6g} exceeds the declared constant {h_conf:.6g}"

@@ -1,13 +1,15 @@
 """Global maximization of Holder-smooth functions via discrete search.
 
 Pipeline: subdivide [0,1]^d into n^d cells, build the degree-r Taylor
-model of f at each cell center from exact derivative values, maximize each
-model over its cell to tolerance eps1 = (1/n)^(r+rho) without any further
-function access, and run the budgeted quantum threshold search over the
-resulting sequence of local estimates.  For class members the returned
-value is within (H + 1) (1/n)^(r+rho) of the true maximum whenever the
-discrete search succeeds, which it does with probability above one half
-per round (boosting multiplies rounds).
+model of f at each cell center from exact derivative values (one
+taylor_tableau row per cell), maximize each model over its cell to
+tolerance eps1 = (1/n)^(r+rho) without any further function access
+(local_max_at is the one way into this certification), and run the
+budgeted quantum threshold search over the resulting sequence of local
+estimates.  For class members the returned value is within
+(H + 1) (1/n)^(r+rho) of the true maximum whenever the discrete search
+succeeds, which it does with probability above one half per round
+(boosting multiplies rounds).
 
 Cost accounting: coefficient_count(d, r) evaluations per distinct cell
 center ever touched (models are cached), one quantum query per
@@ -27,15 +29,13 @@ from .holder import (
     DEFAULT_MAX_CUBES,
     Grid,
     HolderFunction,
-    TaylorModel,
     _cell_scale,
     _check_class,
     _exponents,
     _monomial_sum,
-    _poly_at_offsets,
     _power_table,
     build_grid,
-    multi_indices,
+    eval_taylor,
     taylor_tableau,
 )
 from .qcore import QueryLedger
@@ -45,8 +45,7 @@ __all__ = [
     "MaximizerParams",
     "default_h_conf",
     "choose_n",
-    "local_max_taylor",
-    "local_max_values",
+    "local_max_at",
     "quantum_maximize",
 ]
 
@@ -116,7 +115,7 @@ def choose_n(
 
 
 # ---------------------------------------------------------------------------
-# certified maximization of one Taylor model over a box
+# certified maximization of Taylor models over boxes
 #
 # Degrees 0 and 1 have exact closed forms in any dimension, degree 2 has
 # exact closed forms for d <= 2 (candidate enumeration: corners, edge
@@ -223,17 +222,17 @@ def _box_bounds(plan, coeffs, lo, hi):
     """Midpoint value and upper bound of each row's model over its offset box.
 
     plan is (alphas, _gradient_terms(alphas, d)).  The value is the
-    model at the box midpoint, by _poly_at_offsets.  The bound adds, per
+    model at the box midpoint, by eval_taylor.  The bound adds, per
     axis k, a sup bound on |d p / d t_k| (sum of |c| prod m^beta over the
     partial's terms, m the largest |offset|) times the half width.  The
     power columns of m are built once per call by _power_table, as
-    _poly_at_offsets builds those of the midpoint, and shared by all terms.
+    eval_taylor builds those of the midpoint, and shared by all terms.
     """
     alphas, (cols, scale, parts, grad_tops) = plan
     mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
     width = hi - lo
-    val = _poly_at_offsets(alphas, coeffs, mid)
+    val = eval_taylor(alphas, coeffs, mid)
     powers = [_power_table(m[:, k], t) for k, t in enumerate(grad_tops)]
     terms = np.abs(coeffs[:, cols] * scale)
     slack = np.zeros(m.shape[0])
@@ -322,54 +321,32 @@ def _branch_bound_max(
 
 
 def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray:
-    """Certified max of each row's Taylor model over its box, within eps1.
+    """Certified max of each row's Taylor model over its box, within eps1 > 0.
 
     Row i is the model with coefficients coeffs[i] (ordered like alphas)
     around centers[i], maximized over centers[i] + [lo_off[i], hi_off[i]].
-    Canonically ordered models (multi_indices) of degree <= 1, or of
-    degree 2 in d <= 2, use the closed forms; all other rows are certified
-    together by one batched branch-and-bound frontier (_branch_bound_max),
-    whose per-row results equal those of a per-model heap bit for bit.
+    alphas must be in taylor_tableau's canonical order (multi_indices),
+    as they are from local_max_at, the only caller: the closed forms read
+    coefficients by position.  Degree <= 1, or degree 2 in d <= 2, use the
+    closed forms; all other rows are certified together by one batched
+    branch-and-bound frontier (_branch_bound_max), whose per-row results
+    equal those of a per-model heap bit for bit.
     """
-    if not eps1 > 0.0:
-        raise ValueError("eps1 must be positive")
     d = lo_off.shape[1]
-    deg = sum(alphas[-1])  # the degree, if alphas is in canonical order
-    if alphas == multi_indices(d, deg):
-        if deg == 0:
-            return coeffs[:, 0].copy()
-        if deg == 1:
-            # order-1 indices are sorted, so column 1 + k belongs to axis d-1-k
-            return _linear_box_max(
-                coeffs[:, 0], coeffs[:, 1:], lo_off[:, ::-1], hi_off[:, ::-1]
-            )
-        if deg == 2 and d == 1:
-            c0, c1, c2 = coeffs.T
-            return _quad_box_max_1d(c0, c1, c2, lo_off[:, 0], hi_off[:, 0])
-        if deg == 2 and d == 2:
-            return _quad_box_max_2d(
-                list(coeffs.T), lo_off[:, 0], hi_off[:, 0], lo_off[:, 1], hi_off[:, 1]
-            )
+    deg = sum(alphas[-1])  # canonical order ends with the degree on axis 0
+    if deg == 0:
+        return coeffs[:, 0].copy()
+    if deg == 1:
+        # order-1 indices are sorted, so column 1 + k belongs to axis d-1-k
+        return _linear_box_max(coeffs[:, 0], coeffs[:, 1:], lo_off[:, ::-1], hi_off[:, ::-1])
+    if deg == 2 and d == 1:
+        c0, c1, c2 = coeffs.T
+        return _quad_box_max_1d(c0, c1, c2, lo_off[:, 0], hi_off[:, 0])
+    if deg == 2 and d == 2:
+        return _quad_box_max_2d(
+            list(coeffs.T), lo_off[:, 0], hi_off[:, 0], lo_off[:, 1], hi_off[:, 1]
+        )
     return _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1)
-
-
-def local_max_taylor(model: TaylorModel, lo, hi, eps1: float) -> float:
-    """Max of one Taylor model over a box, certified within eps1.
-
-    Exact (closed form) for degree <= 1 in any dimension and degree 2 in
-    one or two dimensions; otherwise certified branch-and-bound.  Never
-    touches the modelled function, only the stored coefficients.
-    """
-    d = model.center.size
-    lo_off = np.asarray(lo, dtype=float).reshape(1, d) - model.center
-    hi_off = np.asarray(hi, dtype=float).reshape(1, d) - model.center
-    if not (np.isfinite(lo_off).all() and np.isfinite(hi_off).all()):
-        raise ValueError("box bounds must be finite")
-    if np.any(hi_off < lo_off):
-        raise ValueError("box must satisfy lo <= hi")
-    return float(
-        _box_max(model.alphas, model.coeffs[None], model.center[None], lo_off, hi_off, eps1)[0]
-    )
 
 
 def local_max_at(
@@ -381,23 +358,16 @@ def local_max_at(
     """Certified local maxima of f's Taylor models on the grid cells at centers.
 
     Each model is maximized over its cell, of half width grid.h / 2, within
-    eps1 = (1/n)^(r+rho), the order of its model error.  Vectorized over
-    cells: closed forms for the low degrees, otherwise one branch-and-bound
-    frontier shared by all cells.  Charges coefficient_count(d, r)
-    evaluations per center.
+    eps1 = (1/n)^(r+rho), the order of its model error; a grid on which
+    eps1 underflows is refused before any evaluation is charged.
+    Vectorized over cells: closed forms for the low degrees, otherwise one
+    branch-and-bound frontier shared by all cells.  Charges
+    coefficient_count(d, r) evaluations per center.
     """
+    eps1 = _cell_scale(f, grid)
     alphas, coeffs = taylor_tableau(f, centers, ledger)
     hi_off = np.full((coeffs.shape[0], f.d), 0.5 * grid.h)
-    return _box_max(alphas, coeffs, centers, -hi_off, hi_off, _cell_scale(f, grid))
-
-
-def local_max_values(
-    f: HolderFunction,
-    grid: Grid,
-    ledger: QueryLedger | None = None,
-) -> np.ndarray:
-    """Certified local maxima for every cell of the grid, flat C-order."""
-    return local_max_at(f, grid, grid.centers(), ledger)
+    return _box_max(alphas, coeffs, centers, -hi_off, hi_off, eps1)
 
 
 # ---------------------------------------------------------------------------

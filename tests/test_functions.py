@@ -112,11 +112,21 @@ def test_peak_is_class_member(d, r, rho):
 
 @pytest.mark.parametrize("name", ["sin1d", "cosprod"])
 def test_two_pi_scaled_families_stop_where_the_power_overflows(name):
-    # both scale by (2 pi)^r, the largest double lies between orders 386 and 387
-    f = make_function(name, 1, 386, 1.0)
-    assert math.isfinite(f.seminorm_bound) and math.isfinite(f.sup_bound)
+    # both scale by (2 pi)^r, the largest double lies between orders 386 and 387;
+    # cosprod's amplitude divides by a further 2 pi d, so it stops one order earlier
+    f = make_function(name, 1, 386 if name == "sin1d" else 385, 1.0)
+    assert math.isfinite(f.seminorm_bound) and 0.0 < f.sup_bound < math.inf
     with pytest.raises(ValueError, match="r <= 386"):
         make_function(name, 1, 387, 1.0)
+
+
+@pytest.mark.parametrize("d,r", [(1, 386), (2, 385), (64, 383)])
+def test_cosprod_refuses_an_amplitude_that_underflows(d, r):
+    # the amplitude 0.95 / (d (2 pi)^r 2 pi^rho) reads 0.0 here, which would pass
+    # the zero function off as a cosprod instance with known maximum 0
+    with pytest.raises(ValueError, match="amplitude underflows"):
+        make_function("cosprod", d, r, 1.0)
+    assert make_function("cosprod", 1, 300, 1.0).sup_bound > 0.0
 
 
 def test_peak_rejects_r_above_two():

@@ -13,7 +13,6 @@ from qfmax.functions import make_function
 from qfmax.holder import (
     Grid,
     HolderFunction,
-    TaylorModel,
     build_grid,
     bump_class_scale,
     bump_profile,
@@ -23,11 +22,9 @@ from qfmax.holder import (
     membership_check,
     multi_indices,
     remainder_bound_check,
-    taylor_model,
     taylor_tableau,
 )
 from qfmax.holder import _exponents, _monomial_sum, _power_table
-from qfmax.maximizer import local_max_taylor
 from qfmax.qcore import QueryLedger
 
 # Frozen oracles.
@@ -80,13 +77,6 @@ def test_grid_tiling_3d():
     # round trip: every center falls back into its own cube
     for i in (0, 137, 999):
         assert g.cell_of(g.center(i)) == i
-
-
-def test_grid_cube_bounds_partition():
-    g = build_grid(4, 2)
-    lo, hi = g.cube_bounds(5)
-    np.testing.assert_allclose(hi - lo, g.h, atol=1e-15)
-    np.testing.assert_allclose((lo + hi) / 2, g.center(5), atol=1e-15)
 
 
 def test_grid_cap_and_validation():
@@ -145,11 +135,11 @@ def test_taylor_model_counts():
     f2 = HolderFunction(
         d=2, r=2, rho=1.0, deriv=lambda alpha, pts: np.zeros(pts.shape[0]), seminorm_bound=0.0
     )
-    assert len(taylor_model(f2, np.array([0.5, 0.5])).coeffs) == 6
+    assert taylor_tableau(f2, np.array([[0.5, 0.5]]))[1].shape == (1, 6)
     f3 = HolderFunction(
         d=3, r=2, rho=1.0, deriv=lambda alpha, pts: np.zeros(pts.shape[0]), seminorm_bound=0.0
     )
-    assert len(taylor_model(f3, np.array([0.5, 0.5, 0.5])).coeffs) == 10
+    assert taylor_tableau(f3, np.array([[0.5, 0.5, 0.5]]))[1].shape == (1, 10)
 
 
 def test_taylor_model_constant_case():
@@ -157,22 +147,11 @@ def test_taylor_model_constant_case():
         d=1, r=0, rho=1.0, deriv=lambda alpha, pts: np.full(pts.shape[0], 0.37),
         seminorm_bound=1.0,
     )
-    model = taylor_model(f, np.array([0.25]))
-    assert model.coeffs[0] == pytest.approx(0.37, abs=1e-15)
-    assert eval_taylor(model, np.array([0.9])) == pytest.approx(0.37, abs=1e-15)
-
-
-def test_taylor_model_takes_exponents_as_lists():
-    # evaluation plans are cached per exponent set, so lists become tuples
-    args = dict(center=np.array([0.5, 0.5]), coeffs=np.array([0.2, 1.0, -3.0, 0.5]))
-    listed = TaylorModel(alphas=[[0, 0], [0, 1], [1, 1], np.array([2, 0])], **args)
-    model = TaylorModel(alphas=((0, 0), (0, 1), (1, 1), (2, 0)), **args)
-    assert listed.alphas == model.alphas
-    assert listed.coeff([1, 1]) == -3.0
-    pts = np.array([[0.4, 0.7], [0.55, 0.45]])
-    assert eval_taylor(listed, pts).tobytes() == eval_taylor(model, pts).tobytes()
-    lo, hi = np.array([0.4, 0.4]), np.array([0.6, 0.6])
-    assert local_max_taylor(listed, lo, hi, 1e-3) == local_max_taylor(model, lo, hi, 1e-3)
+    alphas, coeffs = taylor_tableau(f, np.array([[0.25]]))
+    assert coeffs[0, 0] == pytest.approx(0.37, abs=1e-15)
+    assert eval_taylor(alphas, coeffs[0], np.array([[0.9 - 0.25]]))[0] == pytest.approx(
+        0.37, abs=1e-15
+    )
 
 
 def test_taylor_tableau_charges_evaluations():
@@ -187,8 +166,8 @@ def test_taylor_tableau_charges_evaluations():
 
 def test_eval_taylor_at_center_returns_leading_coefficient():
     f = sin_function(2)
-    model = taylor_model(f, np.array([0.3]))
-    assert eval_taylor(model, np.array([0.3])) == pytest.approx(
+    alphas, coeffs = taylor_tableau(f, np.array([[0.3]]))
+    assert eval_taylor(alphas, coeffs[0], np.zeros((1, 1)))[0] == pytest.approx(
         math.sin(2 * math.pi * 0.3), abs=1e-15
     )
 
@@ -223,9 +202,10 @@ def test_eval_taylor_reproduces_polynomials_exactly():
 
     f = HolderFunction(d=2, r=2, rho=1.0, deriv=deriv, seminorm_bound=10.0, sup_bound=10.0)
     rng = np.random.default_rng(17)
-    model = taylor_model(f, np.array([0.4, 0.6]))
+    center = np.array([0.4, 0.6])
+    alphas, coeffs = taylor_tableau(f, center[None, :])
     pts = rng.random((100, 2))
-    np.testing.assert_allclose(eval_taylor(model, pts), f(pts), atol=1e-10)
+    np.testing.assert_allclose(eval_taylor(alphas, coeffs[0], pts - center), f(pts), atol=1e-10)
 
 
 def gather_accumulate_sum(c, exps, tables):
@@ -277,8 +257,9 @@ def test_monomial_sum_matches_gather_and_accumulate_bitwise(case):
 
 
 def test_eval_taylor_frozen_sin_value():
-    model = taylor_model(sin_function(2), np.array([0.5]))
-    assert eval_taylor(model, np.array([0.6])) == pytest.approx(SIN_TAYLOR2_AT_06, abs=1e-12)
+    alphas, coeffs = taylor_tableau(sin_function(2), np.array([[0.5]]))
+    value = eval_taylor(alphas, coeffs[0], np.array([[0.6 - 0.5]]))[0]
+    assert value == pytest.approx(SIN_TAYLOR2_AT_06, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +309,43 @@ def test_remainder_check_enforces_given_constant():
         remainder_bound_check(f, build_grid(8, 1), 2000, h_conf=1e-6)
     out = remainder_bound_check(f, build_grid(8, 1), 2000, h_conf=10.0)
     assert 0.0 < out < 10.0
+
+
+def per_cell_remainder_ratio(f, grid, samples, rng):
+    """remainder_bound_check as a loop over the sampled cells, one model per cell."""
+    denom = grid.h ** (f.r + f.rho)
+    cells = rng.integers(0, grid.N, size=samples)
+    offs = (rng.random((samples, f.d)) - 0.5) * grid.h
+    worst = 0.0
+    for cell in np.unique(cells):
+        sel = cells == cell
+        center = grid.center(int(cell))
+        pts = np.clip(center + offs[sel], 0.0, 1.0)
+        alphas, coeffs = taylor_tableau(f, center[None, :])
+        resid = np.abs(f(pts) - eval_taylor(alphas, coeffs[0], pts - center))
+        worst = max(worst, float(resid.max()) / denom)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "name,d,r",
+    [
+        ("cosprod", 2, 2),
+        ("cosprod", 3, 3),
+        ("cosprod", 1, 4),
+        ("peak", 2, 1),
+        ("peak", 1, 2),
+        ("sin1d", 1, 3),
+        ("bumpfamily", 2, 2),
+    ],
+)
+def test_remainder_check_matches_per_cell_loop_bitwise(name, d, r):
+    # one tableau over all sampled cells must give the loop's ratio to the bit
+    f = make_function(name, d, r, 1.0, rng=np.random.default_rng(11))
+    grid = build_grid(6, d)
+    got = remainder_bound_check(f, grid, 3000, rng=np.random.default_rng(12))
+    want = per_cell_remainder_ratio(f, grid, 3000, np.random.default_rng(12))
+    assert 0.0 < got and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +406,9 @@ def test_class_scale_refuses_a_profile_order_past_double_range(d):
 
 def test_taylor_models_stop_where_the_factorial_overflows():
     f = make_function("cosprod", 1, 170, 1.0)
-    assert np.isfinite(taylor_model(f, [0.5]).coeffs).all()
+    assert np.isfinite(taylor_tableau(f, [[0.5]])[1]).all()
     with pytest.raises(ValueError, match="r <= 170"):
-        taylor_model(make_function("cosprod", 1, 171, 1.0), [0.5])
+        taylor_tableau(make_function("cosprod", 1, 171, 1.0), [[0.5]])
 
 
 def test_single_bump_with_requested_height():

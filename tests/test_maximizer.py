@@ -3,7 +3,6 @@
 import heapq
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,24 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfmax.cli import main
 from qfmax.functions import make_function
 from qfmax.holder import (
     HolderFunction,
-    TaylorModel,
     build_grid,
     coefficient_count,
     eval_taylor,
     multi_indices,
     remainder_bound_check,
-    taylor_model,
+    taylor_tableau,
 )
 from qfmax.maximizer import (
     MaximizerParams,
+    _box_max,
     _branch_bound_max,
     choose_n,
     default_h_conf,
-    local_max_taylor,
-    local_max_values,
+    local_max_at,
     quantum_maximize,
 )
 from qfmax.qcore import QueryLedger
@@ -36,18 +35,25 @@ from qfmax.search import SearchParams
 
 
 def random_model(rng, d, degree, scale=1.0):
+    """(alphas, coeffs, center) of a random model in canonical order."""
     alphas = multi_indices(d, degree)
     coeffs = scale * rng.normal(size=len(alphas))
     center = rng.random(d)
-    return TaylorModel(center=center, alphas=alphas, coeffs=coeffs)
+    return alphas, coeffs, center
 
 
-def dense_grid_max(model, lo, hi, points_total=1_000_000):
-    d = model.center.size
+def box_max(alphas, coeffs, center, lo, hi, eps1):
+    """Certified max of one model over the box [lo, hi] around its center."""
+    lo_off, hi_off = (np.asarray(lo) - center)[None], (np.asarray(hi) - center)[None]
+    return float(_box_max(alphas, coeffs[None], center[None], lo_off, hi_off, eps1)[0])
+
+
+def dense_grid_max(alphas, coeffs, center, lo, hi, points_total=1_000_000):
+    d = center.size
     per_axis = max(2, int(round(points_total ** (1.0 / d))))
     axes = [np.linspace(lo[k], hi[k], per_axis) for k in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return float(eval_taylor(model, mesh).max())
+    return float(eval_taylor(alphas, coeffs, mesh - center).max())
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +122,8 @@ def test_params_require_target():
 
 
 def test_local_max_constant_model():
-    m = TaylorModel(center=np.array([0.5]), alphas=((0,),), coeffs=np.array([0.37]))
-    assert local_max_taylor(m, np.array([0.4]), np.array([0.6]), 1e-6) == 0.37
+    center, coeffs = np.array([0.5]), np.array([0.37])
+    assert box_max(((0,),), coeffs, center, [0.4], [0.6], 1e-6) == 0.37
 
 
 def test_local_max_linear_vertex_formula():
@@ -126,13 +132,12 @@ def test_local_max_linear_vertex_formula():
     rng = np.random.default_rng(3)
     for d in (1, 2, 3):
         for _ in range(20):
-            model = random_model(rng, d, 1)
+            alphas, coeffs, center = random_model(rng, d, 1)
             below, above = rng.uniform(0.01, 0.2, size=(2, d))
-            lo, hi = model.center - below, model.center + above
-            got = local_max_taylor(model, lo, hi, 1e-9)
-            want = model.coeff((0,) * d)
+            got = box_max(alphas, coeffs, center, center - below, center + above, 1e-9)
+            want = coeffs[alphas.index((0,) * d)]
             for k in range(d):
-                g = model.coeff(tuple(np.eye(d, dtype=int)[k]))
+                g = coeffs[alphas.index(tuple(np.eye(d, dtype=int)[k]))]
                 want += max(-g * below[k], g * above[k])
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -140,13 +145,9 @@ def test_local_max_linear_vertex_formula():
 def test_local_max_interior_parabola():
     # w(t) = 1 - (t - c)^2 around an interior stationary point
     c = 0.52
-    model = TaylorModel(
-        center=np.array([0.5]),
-        alphas=((0,), (1,), (2,)),
-        coeffs=np.array([1 - (0.5 - c) ** 2, -2 * (0.5 - c), -1.0]),
-    )
+    coeffs = np.array([1 - (0.5 - c) ** 2, -2 * (0.5 - c), -1.0])
     eps1 = 1e-8
-    got = local_max_taylor(model, np.array([0.4]), np.array([0.6]), eps1)
+    got = box_max(((0,), (1,), (2,)), coeffs, np.array([0.5]), [0.4], [0.6], eps1)
     assert got == pytest.approx(1.0, abs=eps1)
 
 
@@ -159,9 +160,9 @@ def test_local_max_vs_dense_grid(d, degree):
     for _ in range(12):
         model = random_model(rng, d, degree)
         half = rng.uniform(0.02, 0.08)
-        lo, hi = model.center - half, model.center + half
-        got = local_max_taylor(model, lo, hi, eps1)
-        ref = dense_grid_max(model, lo, hi, 200_000)
+        lo, hi = model[2] - half, model[2] + half
+        got = box_max(*model, lo, hi, eps1)
+        ref = dense_grid_max(*model, lo, hi, 200_000)
         assert got >= ref - eps1
         assert got <= ref + eps1 + 1e-9
 
@@ -170,12 +171,11 @@ def test_quadratic_closed_form_agrees_with_branch_and_bound():
     rng = np.random.default_rng(9)
     for d in (1, 2):
         for _ in range(40):
-            model = random_model(rng, d, 2)
+            alphas, coeffs, center = random_model(rng, d, 2)
             half = rng.uniform(0.02, 0.1)
-            lo, hi = model.center - half, model.center + half
-            exact = local_max_taylor(model, lo, hi, 1e-10)
+            exact = box_max(alphas, coeffs, center, center - half, center + half, 1e-10)
             bb = _branch_bound_max(
-                model.alphas, model.coeffs[None], model.center[None],
+                alphas, coeffs[None], center[None],
                 np.full((1, d), -half), np.full((1, d), half), 1e-7,
             )[0]
             assert exact == pytest.approx(bb, abs=2e-7)
@@ -397,49 +397,59 @@ def test_node_cap_applies_per_row():
         )
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_local_max_values_batch_matches_scalar_route(d, r):
-    f = make_function("cosprod", d, r, 1.0, rng=np.random.default_rng(4))
-    grid = build_grid(5, d)
-    eps1 = grid.h ** (r + 1)
-    led = QueryLedger()
-    batch = local_max_values(f, grid, led)
-    for i in range(grid.N):
-        model = taylor_model(f, grid.center(i))
-        lo, hi = grid.cube_bounds(i)
-        assert batch[i] == pytest.approx(local_max_taylor(model, lo, hi, eps1), abs=1e-12)
-
-
-@pytest.mark.parametrize("r,eps1", [(3, 0.0), (0, -1.0), (1, float("nan"))])
-def test_non_positive_eps1_is_refused_up_front(r, eps1):
-    model = taylor_model(make_function("cosprod", 1, r, 1.0), [0.5])
-    with pytest.raises(ValueError, match="eps1"):
-        local_max_taylor(model, [0.375], [0.625], eps1)
-
-
-@pytest.mark.parametrize(
-    "lo,hi", [([math.nan], [0.6]), ([0.4], [math.inf]), ([-math.inf], [0.6]), ([0.4], [math.nan])]
+_LAZY_TABLE_CASES = (
+    [("cosprod", d, r) for d in (1, 2, 3) for r in range(4)]
+    + [("peak", d, r) for d in (1, 2, 3) for r in range(3)]
+    + [("sin1d", 1, r) for r in range(4)]
 )
-def test_non_finite_box_is_refused(lo, hi):
-    model = TaylorModel(center=np.array([0.5]), alphas=multi_indices(1, 3),
-                        coeffs=np.array([0.1, 0.2, -1.0, 0.3]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="box bounds must be finite"):
-            local_max_taylor(model, lo, hi, 1e-4)
+
+
+@pytest.mark.parametrize("name,d,r", _LAZY_TABLE_CASES)
+def test_local_max_at_one_cell_matches_the_batch_bitwise(name, d, r):
+    # the lazy table certifies a candidate's cell alone and the rest in one
+    # batch, so a cell's value must not depend on the cells sharing its call
+    f = make_function(name, d, r, 1.0, rng=np.random.default_rng(4))
+    grid = build_grid(5, d)
+    centers = grid.centers()
+    batch = local_max_at(f, grid, centers)
+    single = np.concatenate([local_max_at(f, grid, c[None, :]) for c in centers])
+    assert single.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("r,n", [(100, 4096), (170, 100), (200, 64)])
+def test_underflowing_cell_tolerance_is_refused_up_front(r, n, capsys):
+    # (1/n)^(r+rho) is every cell's tolerance eps1 and the remainder ratio's
+    # divisor; the user never sets it, so its underflow to 0 is refused with n
+    # and r+rho named, before any evaluation is charged
+    argv = ["holder-max", "--function", "cosprod", "--d", "1", "--r", str(r), "--n", str(n)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f"qfmax: error: cell tolerance (1/n)^(r+rho) underflows to 0 at n={n}, r+rho={r + 1}\n"
+    )
+    f, grid, led = make_function("cosprod", 1, r, 1.0), build_grid(n, 1), QueryLedger()
+    with pytest.raises(ValueError, match=f"underflows to 0 at n={n}, r"):
+        remainder_bound_check(f, grid, 10)
+    with pytest.raises(ValueError, match="underflows"):
+        local_max_at(f, grid, grid.centers()[:1], led)
+    assert led.evaluations == 0
 
 
 def test_local_max_uses_no_function_evaluations():
-    f = make_function("peak", 2, 2, 1.0, rng=np.random.default_rng(5))
-    grid = build_grid(4, 2)
-    models = [taylor_model(f, grid.center(i), None) for i in range(grid.N)]
-    led = QueryLedger()
-    before = led.evaluations
-    for i, model in enumerate(models):
-        lo, hi = grid.cube_bounds(i)
-        local_max_taylor(model, lo, hi, 1e-4)
-    assert led.evaluations == before == 0
+    # certification reads only the tableau: one derivative call per alpha,
+    # coefficient_count(d, r) evaluations per cell, closed form or branch-and-bound
+    for name, d, r in (("peak", 2, 2), ("cosprod", 2, 3)):
+        f = make_function(name, d, r, 1.0, rng=np.random.default_rng(5))
+        calls = []
+        counted = HolderFunction(
+            d=d, r=r, rho=1.0, deriv=lambda alpha, pts: calls.append(alpha) or f.deriv(alpha, pts)
+        )
+        grid = build_grid(4, d)
+        led = QueryLedger()
+        local_max_at(counted, grid, grid.centers(), led)
+        assert calls == list(multi_indices(d, r))
+        assert led.evaluations == grid.N * coefficient_count(d, r)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +535,7 @@ def test_error_chain_and_conditional_exactness():
         inst = np.random.default_rng(3000 + t)
         f = make_function("peak", 1, 1, 1.0, rng=inst)
         res = quantum_maximize(f, MaximizerParams(n_override=n), inst)
-        table = local_max_values(f, grid, QueryLedger())
+        table = local_max_at(f, grid, grid.centers())
         if res.value == table.max():
             checked += 1
             h_conf = default_h_conf(1, 1)
