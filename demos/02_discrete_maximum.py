@@ -22,6 +22,10 @@ print(f"found value {res.value:.6f} at index {res.witness} "
       f"(true max {values.max():.6f} at {values.argmax()})")
 print(f"quantum queries {res.ledger.quantum_queries}, "
       f"classical comparisons {res.ledger.classical_queries}")
+# Each boosting round climbs from a random start through strictly better
+# values; res.thresholds holds one such chain per round.
+for k, chain in enumerate(res.thresholds, 1):
+    print(f"round {k} thresholds: " + " < ".join(f"{v:.6f}" for v in chain))
 
 # -- success frequency under both boost settings -----------------------------
 # One boosting round already succeeds more than half the time; a second

@@ -11,8 +11,9 @@ estimates.  For class members the returned value is within
 succeeds, which it does with probability above one half per round
 (boosting multiplies rounds).
 
-Cost accounting: coefficient_count(d, r) evaluations per distinct cell
-center ever touched (models are cached), one quantum query per
+Cost accounting: coefficient_count(d, r) evaluations per cell, each
+certified once (alone at its first classical read, or with every cell
+still missing at the first amplification step), one quantum query per
 amplification step, one classical query per post-measurement lookup.
 """
 
@@ -39,7 +40,7 @@ from .holder import (
     taylor_tableau,
 )
 from .qcore import QueryLedger
-from .search import MaxResult, SearchParams, _Accessor, _boosted_climb
+from .search import MaxResult, SearchParams, _boosted_climb, _ValueTable
 
 __all__ = [
     "MaximizerParams",
@@ -371,40 +372,7 @@ def local_max_at(
 
 
 # ---------------------------------------------------------------------------
-# lazy model table and the quantum pipeline
-
-
-class _LocalMaxTable:
-    """Per-cell local maxima, built on demand and cached.
-
-    A classical candidate check touches one cell (one model is built and
-    charged); the first amplification step needs the whole truth table, at
-    which point every remaining cell is built in one vectorized pass.
-    """
-
-    def __init__(self, f: HolderFunction, grid: Grid, ledger: QueryLedger):
-        self.f = f
-        self.grid = grid
-        self.ledger = ledger
-        self._vals = np.full(grid.N, np.nan)
-        self._complete = False
-
-    def value(self, i: int) -> float:
-        v = self._vals.item(i)
-        if v != v:  # NaN: the cell is not built yet
-            center = self.grid.center(int(i))
-            v = float(local_max_at(self.f, self.grid, center[None, :], self.ledger)[0])
-            self._vals[i] = v
-        return v
-
-    def values(self) -> np.ndarray:
-        if not self._complete:
-            missing = np.isnan(self._vals)
-            if missing.any():
-                centers = self.grid.centers()[missing]
-                self._vals[missing] = local_max_at(self.f, self.grid, centers, self.ledger)
-            self._complete = True
-        return self._vals
+# the quantum pipeline
 
 
 def quantum_maximize(
@@ -414,9 +382,10 @@ def quantum_maximize(
 ) -> MaxResult:
     """Approximate the maximum of f by quantum search over local models.
 
-    Returns a MaxResult whose witness is the winning cell center and whose
-    value is the certified local maximum of that cell's model.  Quantum
-    cost is at most boost_rounds * ceil(budget_factor * sqrt(n^d)).
+    Returns a MaxResult whose witness is the winning cell center, whose
+    value is the certified local maximum of that cell's model, and whose
+    thresholds are the certified cell values each round climbed through.
+    Quantum cost is at most boost_rounds * ceil(budget_factor * sqrt(n^d)).
     """
     if params.n_override is not None:
         n = int(params.n_override)
@@ -426,12 +395,16 @@ def quantum_maximize(
         raise ValueError("either epsilon or n_override must be set")
     grid = build_grid(n, f.d)
     ledger = QueryLedger()
-    table = _LocalMaxTable(f, grid, ledger)
-    acc = _Accessor(grid.N, ledger, table.value, table.values)
-    idx, value, success = _boosted_climb(acc, rng, params.search)
+    table = _ValueTable(
+        ledger,
+        np.full(grid.N, np.nan),
+        lambda cells: local_max_at(f, grid, grid.centers(cells), ledger),
+    )
+    idx, value, success, chains = _boosted_climb(table, rng, params.search)
     return MaxResult(
         value=value,
         witness=grid.center(idx),
         success=success,
         ledger=ledger.snapshot(),
+        thresholds=chains,
     )

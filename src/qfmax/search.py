@@ -8,7 +8,8 @@ wrap it in a threshold-improvement loop: keep a current best index, search
 for any strictly better one, and stop once the quantum query budget
 ceil(budget_factor * sqrt(n)) is exhausted.  Boosting repeats the whole
 round and keeps the best answer, which drives the failure probability down
-by a factor of two per round.
+by a factor of two per round.  The climb reads one _ValueTable, whose
+values may be built on demand, and returns each round's threshold chain.
 """
 
 from __future__ import annotations
@@ -104,15 +105,19 @@ class MaxResult:
     """Outcome of an extremum search.
 
     value is the best value found (exactly the sequence/model entry at the
-    witness).  success is False when the final round was cut off by budget
-    exhaustion immediately after an improvement, i.e. the threshold chain
-    did not end with a completed, failed search.
+    witness).  success is False when any round was cut off by budget
+    exhaustion immediately after an improvement, i.e. its threshold chain
+    did not end with a completed, failed search.  thresholds holds one
+    chain per boosted round: the values the round climbed through, in
+    order, from its random first read to its best (descending for
+    find_minimum).  The classical baselines leave it empty.
     """
 
     value: float
     witness: object
     success: bool
     ledger: QueryLedger
+    thresholds: list = field(default_factory=list)
 
 
 def qsearch(
@@ -174,106 +179,108 @@ def qsearch(
         m = min(params.lambda_ * m, m_cap)
 
 
-class _Accessor:
-    """The threshold climb's view of a value sequence.
+class _ValueTable:
+    """The threshold climb's values, one per index, built on demand.
 
-    Each value(i) read is one classical query.  predicate(t) marks the
-    indices whose value is > t, with all_values() as its truth table.
+    vals holds the values, NaN where one is not built yet, and build(cells)
+    returns the values of those cells.  Each value(i) read is one classical
+    query and builds cell i alone if it is missing.  values() builds every
+    missing cell with one build call and then drops build.  predicate(t)
+    marks the indices whose value is > t: its truth table is values() > t,
+    built at the predicate's first mask(), and checking a candidate reads
+    one value.
     """
 
-    __slots__ = ("n", "ledger", "_value_at", "_all_values")
+    __slots__ = ("n", "ledger", "_vals", "_build")
 
-    def __init__(self, n: int, ledger: QueryLedger, value_at, all_values) -> None:
-        self.n = n
+    def __init__(self, ledger: QueryLedger, vals: np.ndarray, build=None) -> None:
+        self.n = vals.size
         self.ledger = ledger
-        self._value_at = value_at
-        self._all_values = all_values
+        self._vals = vals
+        self._build = build
+
+    def _at(self, i: int) -> float:
+        v = self._vals.item(i)
+        if v != v:  # NaN: not built yet
+            v = self._vals[i] = self._build(np.array([i])).item(0)
+        return v
 
     def value(self, i: int) -> float:
         self.ledger.classical_queries += 1
-        return self._value_at(int(i))
+        return self._at(int(i))
+
+    def values(self) -> np.ndarray:
+        if self._build is not None:
+            missing = np.flatnonzero(np.isnan(self._vals))
+            if missing.size:
+                self._vals[missing] = self._build(missing)
+            self._build = None
+        return self._vals
 
     def predicate(self, threshold: float) -> MarkPredicate:
-        value_at, all_values = self._value_at, self._all_values
         return MarkPredicate(
             self.n,
-            lambda: all_values() > threshold,
+            lambda: self.values() > threshold,
             self.ledger,
-            check=lambda i: value_at(i) > threshold,
+            check=lambda i: self._at(i) > threshold,
         )
 
 
-def _threshold_climb(acc, rng, params, budget, record=None):
+def _threshold_climb(table, rng, params, budget):
     """One round of threshold improvement within a quantum budget.
 
-    Returns (index, value, clean) where clean is True when the round ended
-    with a completed (failed) search rather than a truncated one.
+    Returns (index, chain, clean).  chain lists the values climbed, from
+    the random first read to index's value, and clean is True when the
+    round ended with a completed (failed) search rather than a truncated
+    one.
     """
-    s = int(rng.integers(0, acc.n))
-    current = acc.value(s)
-    if record is not None:
-        record.append(current)
-    start = acc.ledger.quantum_queries
+    s = int(rng.integers(0, table.n))
+    chain = [table.value(s)]
+    start = table.ledger.quantum_queries
     clean = False
     while True:
-        remaining = budget - (acc.ledger.quantum_queries - start)
+        remaining = budget - (table.ledger.quantum_queries - start)
         if remaining <= 0:
             break
-        pred = acc.predicate(current)
-        idx = qsearch(pred, rng, params, remaining)
+        idx = qsearch(table.predicate(chain[-1]), rng, params, remaining)
         if idx is None:
             clean = True
             break
         s = idx
-        current = acc.value(s)
-        if record is not None:
-            record.append(current)
-    return s, current, clean
+        chain.append(table.value(s))
+    return s, chain, clean
 
 
-def _boosted_climb(acc, rng, params, record_thresholds=None):
+def _boosted_climb(table, rng, params=None):
     """boost_rounds threshold climbs, each with a fresh budget; keeps the best.
 
-    A total budget above DEFAULT_MAX_QUANTUM_QUERIES is refused before the
-    first read.
+    Returns (index, value, success, chains): the first round with the
+    largest value gives index and value, success is True when every round
+    ended clean, and chains holds each round's chain.  params None means
+    SearchParams().  A total budget above DEFAULT_MAX_QUANTUM_QUERIES is
+    refused before the first read.
     """
+    params = params if params is not None else SearchParams()
     # the first test keeps ceil away from an overflowing product
-    per_round = params.budget_factor * math.sqrt(acc.n)
+    per_round = params.budget_factor * math.sqrt(table.n)
     if (
         per_round > DEFAULT_MAX_QUANTUM_QUERIES
-        or params.boost_rounds * params.budget(acc.n) > DEFAULT_MAX_QUANTUM_QUERIES
+        or params.boost_rounds * params.budget(table.n) > DEFAULT_MAX_QUANTUM_QUERIES
     ):
         raise ValueError(
             f"quantum budget of {params.boost_rounds} rounds of {per_round:.6g} queries "
             f"exceeds the cap of {DEFAULT_MAX_QUANTUM_QUERIES}"
         )
-    budget = params.budget(acc.n)
-    best_s = None
-    best_v = None
-    success = True
-    for _ in range(params.boost_rounds):
-        rec = [] if record_thresholds is not None else None
-        s, v, clean = _threshold_climb(acc, rng, params, budget, record=rec)
-        if record_thresholds is not None:
-            record_thresholds.append(rec)
-        if best_v is None or v > best_v:
-            best_s, best_v = s, v
-        success = success and clean
-    return best_s, best_v, success
-
-
-def _climb_sequence(oracle, values, rng, params, record_thresholds):
-    """Boosted maximum search over values, charged to the oracle's ledger."""
-    params = params if params is not None else SearchParams()
-    acc = _Accessor(oracle.n, oracle.ledger, lambda i: float(values[i]), lambda: values)
-    return _boosted_climb(acc, rng, params, record_thresholds)
+    budget = params.budget(table.n)
+    rounds = [_threshold_climb(table, rng, params, budget) for _ in range(params.boost_rounds)]
+    s, chain, _ = max(rounds, key=lambda rnd: rnd[1][-1])
+    return s, chain[-1], all(clean for _, _, clean in rounds), [c for _, c, _ in rounds]
 
 
 def find_maximum(
     oracle: SequenceOracle,
     rng: np.random.Generator,
     params: SearchParams | None = None,
-    record_thresholds: list | None = None,
 ) -> MaxResult:
     """Locate the maximum of the sequence with high probability.
 
@@ -283,23 +290,20 @@ def find_maximum(
     half at the default budget factor; each extra round halves the
     failure probability.
     """
-    s, v, success = _climb_sequence(oracle, oracle.values, rng, params, record_thresholds)
-    return MaxResult(value=v, witness=s, success=success, ledger=oracle.ledger.snapshot())
+    s, v, success, chains = _boosted_climb(_ValueTable(oracle.ledger, oracle.values), rng, params)
+    return MaxResult(v, s, success, oracle.ledger.snapshot(), chains)
 
 
 def find_minimum(
     oracle: SequenceOracle,
     rng: np.random.Generator,
     params: SearchParams | None = None,
-    record_thresholds: list | None = None,
 ) -> MaxResult:
     """Mirror image of find_maximum (thresholds strictly decrease).
 
     Runs the maximum search on the negated values; negation is exact, so
     every comparison, and hence every step, is that of a minimum search.
     """
-    rec = [] if record_thresholds is not None else None
-    s, v, success = _climb_sequence(oracle, -oracle.values, rng, params, rec)
-    if record_thresholds is not None:
-        record_thresholds.extend([-t for t in chain] for chain in rec)
-    return MaxResult(value=-v, witness=s, success=success, ledger=oracle.ledger.snapshot())
+    s, v, success, chains = _boosted_climb(_ValueTable(oracle.ledger, -oracle.values), rng, params)
+    chains = [[-t for t in chain] for chain in chains]
+    return MaxResult(-v, s, success, oracle.ledger.snapshot(), chains)

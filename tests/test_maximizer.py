@@ -550,9 +550,26 @@ def test_query_and_evaluation_accounting():
     res = quantum_maximize(f, params, np.random.default_rng(7))
     per_round = math.ceil(params.search.budget_factor * math.sqrt(n**d))
     assert res.ledger.quantum_queries <= 2 * per_round + 2
-    assert res.ledger.evaluations <= n**d * coefficient_count(d, r)
-    assert res.ledger.evaluations % coefficient_count(d, r) == 0
+    # every cell is certified exactly once, however many times it is read
+    assert res.ledger.evaluations == n**d * coefficient_count(d, r)
     assert res.ledger.classical_queries >= 1
+
+
+def test_threshold_chains_climb_through_certified_cell_values():
+    n, d, r, rounds = 12, 2, 1, 3
+    grid = build_grid(n, d)
+    params = MaximizerParams(n_override=n, search=SearchParams(boost_rounds=rounds))
+    for seed in range(10):
+        f = make_function("cosprod", d, r, 1.0, rng=np.random.default_rng(seed))
+        res = quantum_maximize(f, params, np.random.default_rng(100 + seed))
+        cells = local_max_at(f, grid, grid.centers())
+        assert len(res.thresholds) == rounds
+        for chain in res.thresholds:
+            assert chain
+            assert all(b > a for a, b in zip(chain, chain[1:]))
+            assert set(chain) <= set(cells.tolist())
+        assert max(chain[-1] for chain in res.thresholds) == res.value
+        assert res.value == cells[grid.cell_of(res.witness)[0]]
 
 
 def test_epsilon_driven_run_meets_target():

@@ -90,9 +90,8 @@ def _find_maximum_runs() -> list:
         for seed in range(20):
             # Values k/n with n a power of two are exact; k is recorded.
             oracle = search.SequenceOracle(bench.trial_rng(seed, n, 0).permutation(n) / n)
-            chains = []
-            res = search.find_maximum(oracle, bench.trial_rng(seed, n, 1), record_thresholds=chains)
-            ks = [[int(v * n) for v in chain] for chain in chains]
+            res = search.find_maximum(oracle, bench.trial_rng(seed, n, 1))
+            ks = [[int(v * n) for v in chain] for chain in res.thresholds]
             best = int(res.value * n)
             out.append([n, best, int(res.witness), res.success, ks, _ledger(res.ledger)])
     return out

@@ -15,6 +15,7 @@ from qfmax.search import (
     MaxResult,
     SearchParams,
     SequenceOracle,
+    _ValueTable,
     find_maximum,
     find_minimum,
     qsearch,
@@ -282,12 +283,39 @@ def test_find_maximum_budget_compliance():
         assert res.ledger.quantum_queries <= cap + params.boost_rounds
 
 
+def test_value_table_builds_each_missing_cell_once():
+    truth = np.linspace(0.0, 1.0, 10)
+    calls = []
+
+    def build(cells):
+        calls.append(cells.tolist())
+        return truth[cells]
+
+    ledger = QueryLedger()
+    table = _ValueTable(ledger, np.full(10, np.nan), build)
+    # one-cell reads before the first mask build that cell alone, once
+    assert table.value(3) == table.value(3) == truth[3]
+    pred = table.predicate(0.5)
+    assert pred.check(7) and not pred.check(2) and pred.check(7)
+    assert calls == [[3], [7], [2]]
+    assert ledger.classical_queries == 5
+    # the first mask builds the missing cells only, in one call
+    np.testing.assert_array_equal(pred.mask(), truth > 0.5)
+    assert calls[3:] == [[0, 1, 4, 5, 6, 8, 9]]
+    # later reads, masks and values() build nothing
+    assert table.value(5) == truth[5]
+    assert table.predicate(0.1).check(0) is False
+    np.testing.assert_array_equal(table.predicate(0.2).mask(), truth > 0.2)
+    np.testing.assert_array_equal(table.values(), truth)
+    assert len(calls) == 4
+    assert ledger.quantum_queries == 0
+
+
 def test_find_maximum_threshold_chain_strictly_increases():
     for t in range(40):
         rng = trial_rng(21, t)
         vals = rng.random(64)
-        rounds: list[list[float]] = []
-        find_maximum(SequenceOracle(vals), rng, record_thresholds=rounds)
+        rounds = find_maximum(SequenceOracle(vals), rng).thresholds
         assert len(rounds) == SearchParams().boost_rounds
         for chain in rounds:
             assert chain
@@ -299,8 +327,8 @@ def test_find_minimum_records_decreasing_chains_of_sequence_values():
     for t in range(40):
         rng = trial_rng(23, t)
         vals = rng.permutation(64) / 64
-        rounds: list[list[float]] = []
-        res = find_minimum(SequenceOracle(vals), rng, record_thresholds=rounds)
+        res = find_minimum(SequenceOracle(vals), rng)
+        rounds = res.thresholds
         assert len(rounds) == SearchParams().boost_rounds
         for chain in rounds:
             assert chain
@@ -330,8 +358,8 @@ def test_extremum_search_invariants(case, direction):
     search, best, sign = {"max": (find_maximum, max, 1.0), "min": (find_minimum, min, -1.0)}[
         direction
     ]
-    rounds: list[list[float]] = []
-    res = search(SequenceOracle(values), np.random.default_rng(seed), params, rounds)
+    res = search(SequenceOracle(values), np.random.default_rng(seed), params)
+    rounds = res.thresholds
     # qsearch clamps each round to its exact budget, so there is no per-round slack
     budget = math.ceil(params.budget_factor * math.sqrt(values.size))
     assert res.ledger.quantum_queries <= params.boost_rounds * budget
