@@ -163,6 +163,10 @@ class Grid:
             raise ValueError("grid needs n >= 1 and d >= 1")
         if self.d > 64:  # numpy's cap on the axes of the cell index arrays
             raise ValueError(f"grid needs d <= 64, got d={self.d}")
+        if self.N > np.iinfo(np.intp).max:  # numpy's cap on a flat cell index
+            raise ValueError(
+                f"grid of {self.n}^{self.d} cells has more cells than numpy can index"
+            )
 
     @property
     def N(self) -> int:
@@ -505,9 +509,12 @@ def make_bump_family(
         raise ValueError("n_bumps must be positive")
     if d < 1:
         raise ValueError("d must be positive")
-    m = 1
+    # the fewest cells per edge with m^d >= n_bumps: a float root, made exact
+    m = max(1, round(n_bumps ** (1 / d)))
     while m**d < n_bumps:
         m += 1
+    while (m - 1) ** d >= n_bumps:
+        m -= 1
     radius = _SUPPORT_SHRINK * 0.5 / m
     kappa = bump_class_scale(d, r, float(rho))
     cap = min(1.0, kappa * radius ** (r + rho))

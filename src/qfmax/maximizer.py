@@ -12,9 +12,10 @@ succeeds, which it does with probability above one half per round
 (boosting multiplies rounds).
 
 Cost accounting: coefficient_count(d, r) evaluations per cell, each
-certified once (alone at its first classical read, or with every cell
-still missing at the first amplification step), one quantum query per
-amplification step, one classical query per post-measurement lookup.
+certified once (the first round's random start cell alone at its
+classical read, every other cell in one batch at the first predicate's
+first check), one quantum query per amplification step, one classical
+query per post-measurement lookup.
 """
 
 from __future__ import annotations

@@ -194,31 +194,27 @@ class MarkPredicate:
     """Deterministic boolean marking of indices, with query accounting.
 
     ``table`` is a boolean array of shape (dim,), or a zero-argument
-    callable returning one, called once at the first mask(); a table of
-    another shape is refused.  The phase oracle conceptually re-evaluates
-    the deterministic predicate at every step, so its truth table is built
-    once and cached.  check() uses ``check``, an index -> bool map, when
-    given, so verifying a candidate builds no table, and reads the table
-    otherwise.  The predicate also keeps the head of the chain of
-    ClassStates its steps reach from the uniform start: the uniform state
-    marked by its table, whose successor links grover_iteration extends
-    one step at a time.
+    callable returning one, called once at the first check() or mask(); a
+    table of another shape is refused.  The phase oracle conceptually
+    re-evaluates the deterministic predicate at every step, so its truth
+    table is built once and cached, and check() reads the same table.  The
+    predicate also keeps the head of the chain of ClassStates its steps
+    reach from the uniform start: the uniform state marked by its table,
+    whose successor links grover_iteration extends one step at a time.
     """
 
-    __slots__ = ("dim", "ledger", "_mask", "_provider", "_check", "_head")
+    __slots__ = ("dim", "ledger", "_mask", "_provider", "_head")
 
     def __init__(
         self,
         dim: int,
         table: np.ndarray | Callable[[], np.ndarray],
         ledger: QueryLedger | None = None,
-        check: Callable[[int], bool] | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.dim = dim
         self.ledger = ledger if ledger is not None else QueryLedger()
-        self._check = check
         self._head = None
         if callable(table):
             self._mask, self._provider = None, table
@@ -239,8 +235,7 @@ class MarkPredicate:
     def check(self, index: int) -> bool:
         """Classically verify one index (one classical query)."""
         self.ledger.classical_queries += 1
-        i = int(index)
-        return bool(self._check(i) if self._check is not None else self.mask()[i])
+        return bool(self.mask()[int(index)])
 
 
 def grover_iteration(

@@ -187,8 +187,7 @@ class _ValueTable:
     query and builds cell i alone if it is missing.  values() builds every
     missing cell with one build call and then drops build.  predicate(t)
     marks the indices whose value is > t: its truth table is values() > t,
-    built at the predicate's first mask(), and checking a candidate reads
-    one value.
+    built at the predicate's first check() or mask().
     """
 
     __slots__ = ("n", "ledger", "_vals", "_build")
@@ -199,15 +198,13 @@ class _ValueTable:
         self._vals = vals
         self._build = build
 
-    def _at(self, i: int) -> float:
+    def value(self, i: int) -> float:
+        self.ledger.classical_queries += 1
+        i = int(i)
         v = self._vals.item(i)
         if v != v:  # NaN: not built yet
             v = self._vals[i] = self._build(np.array([i])).item(0)
         return v
-
-    def value(self, i: int) -> float:
-        self.ledger.classical_queries += 1
-        return self._at(int(i))
 
     def values(self) -> np.ndarray:
         if self._build is not None:
@@ -218,12 +215,7 @@ class _ValueTable:
         return self._vals
 
     def predicate(self, threshold: float) -> MarkPredicate:
-        return MarkPredicate(
-            self.n,
-            lambda: self.values() > threshold,
-            self.ledger,
-            check=lambda i: self._at(i) > threshold,
-        )
+        return MarkPredicate(self.n, lambda: self.values() > threshold, self.ledger)
 
 
 def _threshold_climb(table, rng, params, budget):

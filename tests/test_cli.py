@@ -280,6 +280,11 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["holder-max", "--function", "cosprod", "--d", "10000", "--r", "300", "--eps", "0.1"],
          "epsilon 0.1 at r + rho = 301 needs a grid beyond the cap"),
         (["holder-max", "--function", "sin1d", "--r", "387", "--n", "2"], "sin1d needs r <= 386"),
+        # the whole line, so numpy's own message (it names intp) cannot show
+        (["lowerbound-demo", "--d", "63", "--n", "2", "--trials", "1"],
+         "grid of 2^63 cells has more cells than numpy can index\n"),
+        (["lowerbound-demo", "--d", "64", "--n", "2", "--trials", "1"],
+         "grid of 2^64 cells has more cells than numpy can index\n"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):

@@ -24,7 +24,7 @@ from qfmax.holder import (
     remainder_bound_check,
     taylor_tableau,
 )
-from qfmax.holder import _exponents, _monomial_sum, _power_table
+from qfmax.holder import _SUPPORT_SHRINK, _exponents, _monomial_sum, _power_table
 from qfmax.qcore import QueryLedger
 
 # Frozen oracles.
@@ -91,6 +91,11 @@ def test_grid_cap_and_validation():
         Grid(n=1, d=65)
     grid = build_grid(1, 64)  # the most axes numpy's index arrays take
     assert grid.centers().shape == (1, 64) and grid.center(0).shape == (64,)
+    # a flat cell index must fit numpy's intp
+    with pytest.raises(ValueError, match=r"2\^63 cells"):
+        Grid(2, 63)
+    assert Grid(2, 62).center(2**62 - 1).tolist() == [0.75] * 62
+    assert Grid(1, 64).N == 1
     for n, d in [(2.5, 1), (np.float64(4.0), 2), (3, 1.0)]:
         with pytest.raises(ValueError, match="integer"):
             Grid(n, d)
@@ -441,6 +446,26 @@ def test_bump_family_layout_and_disjointness():
     fam5 = make_bump_family(5, 2, 0, 1.0, None)
     assert fam5.cells_per_edge == 3
     assert fam5.centers.shape == (5, 2)
+
+
+def test_bump_layout_edge_matches_the_linear_search():
+    # every field of a family, against one laid out on the m found by
+    # counting up from 1
+    r, rho = 1, 0.5
+    for d in range(1, 5):
+        kappa = bump_class_scale(d, r, rho)
+        for k in (1, 2, 3, 5, 10, 17):
+            for n_bumps in {max(1, k**d - 1), k**d, k**d + 1}:
+                m = 1
+                while m**d < n_bumps:
+                    m += 1
+                fam = make_bump_family(n_bumps, d, r, rho, None)
+                radius = _SUPPORT_SHRINK * 0.5 / m
+                assert (fam.n_bumps, fam.d, fam.r, fam.rho) == (n_bumps, d, r, rho)
+                assert fam.cells_per_edge == m and fam.radius == radius
+                assert fam.kappa == kappa
+                assert fam.height == 0.95 * min(1.0, kappa * radius ** (r + rho))
+                np.testing.assert_array_equal(fam.centers, Grid(m, d).centers(np.arange(n_bumps)))
 
 
 def test_bump_member_peaks_at_center():

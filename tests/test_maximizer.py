@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfmax import maximizer, qcore
 from qfmax.cli import main
 from qfmax.functions import make_function
 from qfmax.holder import (
@@ -553,6 +554,43 @@ def test_query_and_evaluation_accounting():
     # every cell is certified exactly once, however many times it is read
     assert res.ledger.evaluations == n**d * coefficient_count(d, r)
     assert res.ledger.classical_queries >= 1
+
+
+def test_a_solve_certifies_its_start_cell_alone_and_the_rest_inside_one_mask(monkeypatch):
+    # The count form of the timing check in perfbench's instrument test:
+    # apart from the first round's start read, every cell is certified in
+    # one local_max_at call made while the first predicate builds its table.
+    calls, open_masks = [], []
+    certify, mask = maximizer.local_max_at, qcore.MarkPredicate.mask
+
+    def counted_certify(f, grid, centers, ledger=None):
+        calls.append((len(centers), bool(open_masks)))
+        return certify(f, grid, centers, ledger)
+
+    def watched_mask(self):
+        open_masks.append(self)
+        try:
+            return mask(self)
+        finally:
+            open_masks.pop()
+
+    monkeypatch.setattr(maximizer, "local_max_at", counted_certify)
+    monkeypatch.setattr(qcore.MarkPredicate, "mask", watched_mask)
+    for name, d, r, n in [("peak", 2, 0, 8), ("cosprod", 2, 1, 12)]:
+        N = n**d
+        for seed in range(5):
+            f = make_function(name, d, r, 1.0, rng=np.random.default_rng(seed))
+            calls.clear()
+            res = quantum_maximize(f, MaximizerParams(n_override=n), np.random.default_rng(seed))
+            assert [cells for cells, _ in calls] == [1, N - 1]
+            assert calls[1][1]
+            assert res.ledger.evaluations == N * coefficient_count(d, r)
+    # a solve refused for its quantum budget certifies nothing
+    calls.clear()
+    refused = MaximizerParams(n_override=8, search=SearchParams(budget_factor=1e12))
+    with pytest.raises(ValueError, match="budget"):
+        quantum_maximize(make_function("peak", 2, 0, 1.0), refused, np.random.default_rng(0))
+    assert calls == []
 
 
 def test_threshold_chains_climb_through_certified_cell_values():

@@ -207,10 +207,10 @@ def test_mark_predicate_sources_agree():
         MarkPredicate(4, marks)
 
 
-def test_predicate_builds_its_table_at_the_first_mask_only():
-    # A check() that built the whole table would charge every cell's
-    # evaluations before the first amplification step, which the final
-    # ledger does not show.
+def test_predicate_builds_its_table_once_at_the_first_check_or_mask():
+    # check() verifies a candidate against the same truth table that the
+    # phase oracle marks, so the provider is called once, by whichever of
+    # check() and mask() comes first, and never at construction.
     marks = np.arange(12) % 5 == 1
     builds = []
 
@@ -219,16 +219,18 @@ def test_predicate_builds_its_table_at_the_first_mask_only():
         return marks
 
     led = QueryLedger()
-    pred = MarkPredicate(12, provider, led, check=lambda i: i % 5 == 1)
+    pred = MarkPredicate(12, provider, led)
+    assert builds == []
     assert [pred.check(i) for i in range(12)] == marks.tolist()
-    assert builds == [] and led.classical_queries == 12
+    assert builds == [0] and led.classical_queries == 12
     state = ClassState.uniform(12)
     for _ in range(3):
         state = grover_iteration(state, pred)
     np.testing.assert_array_equal(pred.mask(), marks)
-    assert builds == [0]
-    # without a check, check() reads the table, built once
+    assert builds == [0] and led.quantum_queries == 3
+    # a first mask() builds the table as well, and check() then reuses it
     pred = MarkPredicate(12, provider)
+    np.testing.assert_array_equal(pred.mask(), marks)
     assert [pred.check(i) for i in range(12)] == marks.tolist()
     assert builds == [0, 1]
 
@@ -238,9 +240,11 @@ def test_predicate_tables_of_the_wrong_shape_are_refused():
         MarkPredicate(6, np.ones(5, dtype=bool))
     with pytest.raises(ValueError, match="shape"):
         MarkPredicate(6, np.ones((6, 1), dtype=bool))
-    # a provider is not called at construction, so its table is checked at mask()
-    pred = MarkPredicate(6, lambda: np.ones(7, dtype=bool), check=lambda i: True)
-    assert pred.check(3)
+    # a provider is not called at construction, so its table is refused at
+    # the first check() or mask()
+    pred = MarkPredicate(6, lambda: np.ones(7, dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        pred.check(3)
     with pytest.raises(ValueError, match="shape"):
         pred.mask()
 

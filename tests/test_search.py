@@ -293,21 +293,24 @@ def test_value_table_builds_each_missing_cell_once():
 
     ledger = QueryLedger()
     table = _ValueTable(ledger, np.full(10, np.nan), build)
-    # one-cell reads before the first mask build that cell alone, once
+    # one-cell reads before any predicate build that cell alone, once
     assert table.value(3) == table.value(3) == truth[3]
+    assert table.value(7) == truth[7]
+    assert calls == [[3], [7]]
+    # a predicate builds nothing until its first check, which builds every
+    # missing cell in one call
     pred = table.predicate(0.5)
+    assert calls == [[3], [7]]
     assert pred.check(7) and not pred.check(2) and pred.check(7)
-    assert calls == [[3], [7], [2]]
-    assert ledger.classical_queries == 5
-    # the first mask builds the missing cells only, in one call
+    assert calls[2:] == [[0, 1, 2, 4, 5, 6, 8, 9]]
+    assert ledger.classical_queries == 6
+    # later reads, checks, masks and values() build nothing
     np.testing.assert_array_equal(pred.mask(), truth > 0.5)
-    assert calls[3:] == [[0, 1, 4, 5, 6, 8, 9]]
-    # later reads, masks and values() build nothing
     assert table.value(5) == truth[5]
     assert table.predicate(0.1).check(0) is False
     np.testing.assert_array_equal(table.predicate(0.2).mask(), truth > 0.2)
     np.testing.assert_array_equal(table.values(), truth)
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert ledger.quantum_queries == 0
 
 
