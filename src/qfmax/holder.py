@@ -25,7 +25,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -180,11 +180,19 @@ class Grid:
         return self.centers(np.array([int(i)]))[0]
 
     def centers(self, cells: np.ndarray | None = None) -> np.ndarray:
-        """Centers of the flat cells (default all), row k matching cells[k]."""
-        cells = np.arange(self.N) if cells is None else cells
-        axes = np.unravel_index(cells, (self.n,) * self.d)
-        a = np.stack(axes, axis=1).astype(float)
-        return (2.0 * a + 1.0) / (2.0 * self.n)
+        """Centers of the flat cells (default all), row k matching cells[k].
+
+        Axis index k is at (2k + 1) / (2n); the whole grid broadcasts those n values per axis.
+        """
+        n, d = self.n, self.d
+        if cells is not None:
+            a = np.stack(np.unravel_index(cells, (n,) * d), axis=1).astype(float)
+            return (2.0 * a + 1.0) / (2.0 * n)
+        axis = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
+        out = np.empty((self.N, d))
+        for j in range(d):
+            out[:, j] = np.broadcast_to(axis[:, None], (n**j, n, n ** (d - 1 - j))).ravel()
+        return out
 
     def cell_of(self, pts) -> np.ndarray:
         """Flat cell index containing each point (boundary goes downward)."""
@@ -448,20 +456,23 @@ class BumpFamily:
     """n_bumps disjointly supported product bumps of common height.
 
     Cell layout: the first n_bumps cells of Grid(m, d), the smallest grid
-    with m^d >= n_bumps, one bump centered on each; the other cells stay
-    empty.  The support radius is slightly below half the cell width so
-    supports keep a positive gap.
+    with m^d >= n_bumps, one bump centered on each (centers, built at its
+    first read); the other cells stay empty.  The support radius is
+    slightly below half the cell width so supports keep a positive gap.
     """
 
     n_bumps: int
     d: int
     r: int
     rho: float
-    centers: np.ndarray
     radius: float
     height: float
     kappa: float
     cells_per_edge: int
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return Grid(self.cells_per_edge, self.d).centers(np.arange(self.n_bumps))
 
     def member_derivative(self, i, alpha: tuple[int, ...], pts) -> np.ndarray:
         """D^alpha of member i at pts; i is one index or one index per point."""
@@ -524,12 +535,12 @@ def make_bump_family(
         raise ValueError("height must be positive")
     if height > cap * (1.0 + 1e-12):
         raise ValueError(f"height {height} exceeds the class cap {cap} for this layout")
+    Grid(m, d)  # refuses a layout numpy cannot index before centers are asked for
     return BumpFamily(
         n_bumps=n_bumps,
         d=d,
         r=r,
         rho=float(rho),
-        centers=Grid(m, d).centers(np.arange(n_bumps)),
         radius=radius,
         height=float(height),
         kappa=kappa,

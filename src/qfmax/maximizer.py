@@ -12,10 +12,10 @@ succeeds, which it does with probability above one half per round
 (boosting multiplies rounds).
 
 Cost accounting: coefficient_count(d, r) evaluations per cell, each
-certified once (the first round's random start cell alone at its
-classical read, every other cell in one batch at the first predicate's
-first check), one quantum query per amplification step, one classical
-query per post-measurement lookup.
+certified once (every cell in one local_max_at call, made inside the first
+mask() of the first predicate, when its truth table is built), one
+quantum query per amplification step, one classical query per
+post-measurement lookup.
 """
 
 from __future__ import annotations
@@ -220,23 +220,23 @@ def _gradient_terms(alphas, d: int):
     return cols, scale, tuple(parts), tops
 
 
-def _box_bounds(plan, coeffs, lo, hi):
+def _box_bounds(plan, coeffs, terms, lo, hi):
     """Midpoint value and upper bound of each row's model over its offset box.
 
-    plan is (alphas, _gradient_terms(alphas, d)).  The value is the
-    model at the box midpoint, by eval_taylor.  The bound adds, per
-    axis k, a sup bound on |d p / d t_k| (sum of |c| prod m^beta over the
-    partial's terms, m the largest |offset|) times the half width.  The
-    power columns of m are built once per call by _power_table, as
-    eval_taylor builds those of the midpoint, and shared by all terms.
+    plan is (alphas, parts, tops) from _gradient_terms, and terms holds the
+    rows' |c| of the gradient terms.  The value is the model at the box
+    midpoint, by eval_taylor.  The bound adds, per axis k, a sup bound on
+    |d p / d t_k| (sum of |c| prod m^beta over the partial's terms, m the
+    largest |offset|) times the half width.  The power columns of m are
+    built once per call by _power_table, as eval_taylor builds those of
+    the midpoint, and shared by all terms.
     """
-    alphas, (cols, scale, parts, grad_tops) = plan
+    alphas, parts, grad_tops = plan
     mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
     width = hi - lo
     val = eval_taylor(alphas, coeffs, mid)
     powers = [_power_table(m[:, k], t) for k, t in enumerate(grad_tops)]
-    terms = np.abs(coeffs[:, cols] * scale)
     slack = np.zeros(m.shape[0])
     for k, (start, stop, part) in enumerate(parts):
         g = _monomial_sum(terms[:, start:stop], part, powers)
@@ -259,10 +259,12 @@ def _branch_bound_max(
     max_nodes splits in one row raise RuntimeError.
     """
     rows, d = lo_off.shape
-    plan = (alphas, _gradient_terms(alphas, d))
+    cols, scale, parts, grad_tops = _gradient_terms(alphas, d)
+    plan = (alphas, parts, grad_tops)
+    terms = np.abs(coeffs[:, cols] * scale)
     lo = (centers + lo_off) - centers
     hi = (centers + hi_off) - centers
-    best, ub = _box_bounds(plan, coeffs, lo, hi)
+    best, ub = _box_bounds(plan, coeffs, terms, lo, hi)
     ub_final = np.zeros(rows)
     nodes = np.zeros(rows, dtype=np.int64)
     stopped = np.zeros(rows, dtype=bool)
@@ -278,7 +280,9 @@ def _branch_bound_max(
         if not cand.size:
             break
         # each row pops its first slot with the largest bound, rows in order
-        top = cand[np.unique(cell[cand], return_index=True)[1]]
+        first = np.full(rows, ub.size)
+        np.minimum.at(first, cell[cand], cand)
+        top = first[first < ub.size]
         tc = cell[top]
         done = ub[top] - best[tc] <= eps1
         finished = tc[done]
@@ -301,7 +305,7 @@ def _branch_bound_max(
         lo2[pick, axis] = mid
         clo, chi = np.concatenate([blo, lo2]), np.concatenate([hi1, bhi])
         crow = np.concatenate([tc, tc])
-        val, cub = _box_bounds(plan, coeffs[crow], clo, chi)
+        val, cub = _box_bounds(plan, coeffs[crow], terms[crow], clo, chi)
         # the incumbent takes the low half's value before the high half is tested
         b0 = best[tc]
         b1 = np.where(val[: tc.size] > b0, val[: tc.size], b0)
@@ -376,6 +380,15 @@ def local_max_at(
 # the quantum pipeline
 
 
+def _solve_grid(params: MaximizerParams, d: int, r: int, rho: float) -> Grid:
+    """The grid a solve of a (d, r, rho) function at params runs on, refused past the cap."""
+    if params.n_override is not None:
+        return build_grid(int(params.n_override), d)
+    if params.epsilon is None:
+        raise ValueError("either epsilon or n_override must be set")
+    return build_grid(choose_n(params.epsilon, d, r, rho, params.h_conf), d)
+
+
 def quantum_maximize(
     f: HolderFunction,
     params: MaximizerParams,
@@ -388,19 +401,9 @@ def quantum_maximize(
     thresholds are the certified cell values each round climbed through.
     Quantum cost is at most boost_rounds * ceil(budget_factor * sqrt(n^d)).
     """
-    if params.n_override is not None:
-        n = int(params.n_override)
-    elif params.epsilon is not None:
-        n = choose_n(params.epsilon, f.d, f.r, f.rho, params.h_conf)
-    else:
-        raise ValueError("either epsilon or n_override must be set")
-    grid = build_grid(n, f.d)
+    grid = _solve_grid(params, f.d, f.r, f.rho)
     ledger = QueryLedger()
-    table = _ValueTable(
-        ledger,
-        np.full(grid.N, np.nan),
-        lambda cells: local_max_at(f, grid, grid.centers(cells), ledger),
-    )
+    table = _ValueTable(ledger, grid.N, lambda: local_max_at(f, grid, grid.centers(), ledger))
     idx, value, success, chains = _boosted_climb(table, rng, params.search)
     return MaxResult(
         value=value,

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .holder import BumpFamily, Grid, HolderFunction, _as_points, make_bump_family
-from .maximizer import MaximizerParams, quantum_maximize
+from .maximizer import MaximizerParams, _solve_grid, quantum_maximize
 from .search import MaxResult
 
 __all__ = ["embed_bits", "decision_rule", "or_trial"]
@@ -92,11 +92,9 @@ def or_trial(
     """
     bits = np.asarray(bits, dtype=int)
     family = make_bump_family(bits.size, d, r, rho, epsilon1)
-    f = embed_bits(bits, family)
-    if params is None:
-        params = MaximizerParams(epsilon=family.height / 4.0)
-    elif params.epsilon is None and params.n_override is None:
-        params = replace(params, epsilon=family.height / 4.0)
-    res = quantum_maximize(f, params, rng)
+    if params is None or (params.epsilon is None and params.n_override is None):
+        params = replace(params or MaximizerParams(), epsilon=family.height / 4.0)
+    _solve_grid(params, d, r, rho)  # refuses an oversized grid before any bump is built
+    res = quantum_maximize(embed_bits(bits, family), params, rng)
     return decision_rule(res.value, family.height), res, family.height
 

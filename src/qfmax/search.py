@@ -180,67 +180,52 @@ def qsearch(
 
 
 class _ValueTable:
-    """The threshold climb's values, one per index, built on demand.
+    """The threshold climb's values, one per index, built whole at first use.
 
-    vals holds the values, NaN where one is not built yet, and build(cells)
-    returns the values of those cells.  Each value(i) read is one classical
-    query and builds cell i alone if it is missing.  values() builds every
-    missing cell with one build call and then drops build.  predicate(t)
-    marks the indices whose value is > t: its truth table is values() > t,
-    built at the predicate's first check() or mask().
+    build() returns all n values.  It is called once, by the first value(i)
+    or values() call, never at construction.  Each value(i) read is one
+    classical query.  above(s) marks the indices whose value is > that of
+    index s: its truth table is values() > values()[s], built at the
+    predicate's first check() or mask().
     """
 
     __slots__ = ("n", "ledger", "_vals", "_build")
 
-    def __init__(self, ledger: QueryLedger, vals: np.ndarray, build=None) -> None:
-        self.n = vals.size
+    def __init__(self, ledger: QueryLedger, n: int, build) -> None:
+        self.n = n
         self.ledger = ledger
-        self._vals = vals
+        self._vals = None
         self._build = build
+
+    def values(self) -> np.ndarray:
+        if self._vals is None:
+            self._vals = self._build()
+        return self._vals
 
     def value(self, i: int) -> float:
         self.ledger.classical_queries += 1
-        i = int(i)
-        v = self._vals.item(i)
-        if v != v:  # NaN: not built yet
-            v = self._vals[i] = self._build(np.array([i])).item(0)
-        return v
+        return self.values().item(int(i))
 
-    def values(self) -> np.ndarray:
-        if self._build is not None:
-            missing = np.flatnonzero(np.isnan(self._vals))
-            if missing.size:
-                self._vals[missing] = self._build(missing)
-            self._build = None
-        return self._vals
-
-    def predicate(self, threshold: float) -> MarkPredicate:
-        return MarkPredicate(self.n, lambda: self.values() > threshold, self.ledger)
+    def above(self, s: int) -> MarkPredicate:
+        return MarkPredicate(self.n, lambda: self.values() > self.values()[s], self.ledger)
 
 
 def _threshold_climb(table, rng, params, budget):
     """One round of threshold improvement within a quantum budget.
 
     Returns (index, chain, clean).  chain lists the values climbed, from
-    the random first read to index's value, and clean is True when the
-    round ended with a completed (failed) search rather than a truncated
-    one.
+    the random first index to index, read (one classical query each) after
+    the searches, whose first check() builds the table; clean is True when
+    the round ended with a completed (failed) search, not a truncated one.
     """
-    s = int(rng.integers(0, table.n))
-    chain = [table.value(s)]
-    start = table.ledger.quantum_queries
-    clean = False
-    while True:
-        remaining = budget - (table.ledger.quantum_queries - start)
-        if remaining <= 0:
-            break
-        idx = qsearch(table.predicate(chain[-1]), rng, params, remaining)
-        if idx is None:
-            clean = True
-            break
-        s = idx
-        chain.append(table.value(s))
-    return s, chain, clean
+    path = [int(rng.integers(0, table.n))]
+    end = table.ledger.quantum_queries + budget
+    idx = path[0]
+    while idx is not None and table.ledger.quantum_queries < end:
+        idx = qsearch(table.above(path[-1]), rng, params, end - table.ledger.quantum_queries)
+        if idx is not None:
+            path.append(idx)
+    return path[-1], [table.value(i) for i in path], idx is None
 
 
 def _boosted_climb(table, rng, params=None):
@@ -282,7 +267,8 @@ def find_maximum(
     half at the default budget factor; each extra round halves the
     failure probability.
     """
-    s, v, success, chains = _boosted_climb(_ValueTable(oracle.ledger, oracle.values), rng, params)
+    table = _ValueTable(oracle.ledger, oracle.n, lambda: oracle.values)
+    s, v, success, chains = _boosted_climb(table, rng, params)
     return MaxResult(v, s, success, oracle.ledger.snapshot(), chains)
 
 
@@ -296,6 +282,7 @@ def find_minimum(
     Runs the maximum search on the negated values; negation is exact, so
     every comparison, and hence every step, is that of a minimum search.
     """
-    s, v, success, chains = _boosted_climb(_ValueTable(oracle.ledger, -oracle.values), rng, params)
+    table = _ValueTable(oracle.ledger, oracle.n, lambda: -oracle.values)
+    s, v, success, chains = _boosted_climb(table, rng, params)
     chains = [[-t for t in chain] for chain in chains]
     return MaxResult(-v, s, success, oracle.ledger.snapshot(), chains)

@@ -101,6 +101,24 @@ def test_grid_cap_and_validation():
             Grid(n, d)
 
 
+@pytest.mark.parametrize("n,d", [(100, 2), (13, 3), (2600, 1), (5, 4), (1, 64), (2, 62)])
+def test_grid_centers_match_the_unravelled_formula_bitwise(n, d):
+    def formula(cells):
+        axes = np.stack(np.unravel_index(cells, (n,) * d), 1).astype(float)
+        return (2.0 * axes + 1.0) / (2.0 * n)
+
+    grid = Grid(n, d)
+    rng = np.random.default_rng(n + d)
+    subsets = [rng.integers(0, grid.N, size=k) for k in (1, 7, 500)] + [np.array([grid.N - 1])]
+    whole = [(grid.centers(), np.arange(grid.N))] if grid.N <= 10**4 else []  # not 2^62 cells
+    for got, cells in whole + [(grid.centers(cells), cells) for cells in subsets]:
+        want = formula(cells)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    last = formula(np.array([grid.N - 1]))[0]
+    np.testing.assert_array_equal(grid.center(grid.N - 1).view(np.int64), last.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # multi-indices and models
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qfmax import reduction
 from qfmax.bench import fit_loglog_slope, trial_rng
-from qfmax.holder import make_bump_family, membership_check
+from qfmax.cli import main
+from qfmax.holder import Grid, make_bump_family, membership_check
 from qfmax.maximizer import MaximizerParams
 from qfmax.reduction import decision_rule, embed_bits, or_trial
 
@@ -129,3 +131,20 @@ def test_or_query_scaling_sqrt_bits():
         pts.append((n, res.ledger.quantum_queries))
     slope = fit_loglog_slope(pts)[0]
     assert 0.4 <= slope <= 0.6
+
+
+def test_an_oversized_or_grid_is_refused_before_the_bumps_are_built(monkeypatch, capsys):
+    # 2^24 bits need a maximizer grid far past the cap; the refusal is
+    # decided from the bit count and the bump height alone, so neither the
+    # bump centers nor the embedding of the bits is ever built
+    def never(*args, **kwargs):
+        raise AssertionError("built before the grid cap was checked")
+
+    monkeypatch.setattr(Grid, "centers", never)
+    monkeypatch.setattr(reduction, "embed_bits", never)
+    argv = ["lowerbound-demo", "--n", str(2**24), "--trials", "1", "--patterns", "zeros"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qfmax: error: epsilon ")
+    assert err.endswith(" at r + rho = 1 needs a grid beyond the cap of 16777216 cubes\n")

@@ -283,35 +283,37 @@ def test_find_maximum_budget_compliance():
         assert res.ledger.quantum_queries <= cap + params.boost_rounds
 
 
-def test_value_table_builds_each_missing_cell_once():
-    truth = np.linspace(0.0, 1.0, 10)
-    calls = []
+def test_value_table_builds_once_at_its_first_use():
+    truth = np.array([0.3, 0.5, 0.1, 0.5, 0.9, 0.0])
+    first_uses = {
+        "value": lambda table: table.value(2),
+        "check": lambda table: table.above(2).check(0),
+        "mask": lambda table: table.above(2).mask(),
+    }
+    for name, first_use in first_uses.items():
+        calls, ledger = [], QueryLedger()
 
-    def build(cells):
-        calls.append(cells.tolist())
-        return truth[cells]
+        def build():
+            calls.append(name)
+            return truth
 
-    ledger = QueryLedger()
-    table = _ValueTable(ledger, np.full(10, np.nan), build)
-    # one-cell reads before any predicate build that cell alone, once
-    assert table.value(3) == table.value(3) == truth[3]
-    assert table.value(7) == truth[7]
-    assert calls == [[3], [7]]
-    # a predicate builds nothing until its first check, which builds every
-    # missing cell in one call
-    pred = table.predicate(0.5)
-    assert calls == [[3], [7]]
-    assert pred.check(7) and not pred.check(2) and pred.check(7)
-    assert calls[2:] == [[0, 1, 2, 4, 5, 6, 8, 9]]
-    assert ledger.classical_queries == 6
-    # later reads, checks, masks and values() build nothing
-    np.testing.assert_array_equal(pred.mask(), truth > 0.5)
-    assert table.value(5) == truth[5]
-    assert table.predicate(0.1).check(0) is False
-    np.testing.assert_array_equal(table.predicate(0.2).mask(), truth > 0.2)
-    np.testing.assert_array_equal(table.values(), truth)
-    assert len(calls) == 3
-    assert ledger.quantum_queries == 0
+        table = _ValueTable(ledger, truth.size, build)
+        pred = table.above(1)
+        # neither the table nor a predicate builds at construction
+        assert calls == []
+        first_use(table)
+        assert calls == [name]
+        # later reads, checks, masks and values() build nothing
+        assert table.value(4) == truth[4] and table.value(5) == truth[5]
+        assert pred.check(4) and not pred.check(2)
+        np.testing.assert_array_equal(table.above(0).mask(), truth > truth[0])
+        np.testing.assert_array_equal(table.values(), truth)
+        assert calls == [name]
+        # above(s) leaves the cells that tie with cell s unmarked, s included
+        np.testing.assert_array_equal(pred.mask(), [False, False, False, False, True, False])
+        assert not pred.check(1) and not pred.check(3)
+        assert ledger.classical_queries == {"value": 1, "check": 1, "mask": 0}[name] + 6
+        assert ledger.quantum_queries == 0
 
 
 def test_find_maximum_threshold_chain_strictly_increases():
