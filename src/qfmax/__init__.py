@@ -63,7 +63,7 @@ from .qcore import (
     uniform_state,
 )
 from .reduction import decision_rule, embed_bits, or_trial
-from .search import MaxResult, SearchParams, SequenceOracle, find_maximum, find_minimum, qsearch
+from .search import MaxResult, SearchParams, SequenceOracle, find_maximum, qsearch
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "estimate_error_quantile",
     "eval_taylor",
     "find_maximum",
-    "find_minimum",
     "fit_loglog_slope",
     "grid_maximize",
     "grover_iteration",

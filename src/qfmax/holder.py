@@ -240,8 +240,7 @@ def taylor_tableau(
     centers = _as_points(centers, f.d)
     alphas = multi_indices(f.d, f.r)
     cols = [np.asarray(f.deriv(a, centers), dtype=float) / _alpha_factorial(a) for a in alphas]
-    # C order like np.column_stack, at a fraction of its cost on the
-    # one-row tableaux of the lazy local-max table
+    # C order like np.column_stack, at a fraction of its cost
     coeffs = np.array(cols).T.copy()
     if ledger is not None:
         ledger.evaluations += centers.shape[0] * len(alphas)

@@ -5,24 +5,25 @@ model of f at each cell center from exact derivative values (one
 taylor_tableau row per cell), maximize each model over its cell to
 tolerance eps1 = (1/n)^(r+rho) without any further function access
 (local_max_at is the one way into this certification), and run the
-budgeted quantum threshold search over the resulting sequence of local
-estimates.  For class members the returned value is within
+discrete maximum search, search.find_maximum, over the resulting
+sequence of local estimates, a SequenceOracle whose values are built on
+demand.  For class members the returned value is within
 (H + 1) (1/n)^(r+rho) of the true maximum whenever the discrete search
 succeeds, which it does with probability above one half per round
 (boosting multiplies rounds).
 
 Cost accounting: coefficient_count(d, r) evaluations per cell, each
-certified once (every cell in one local_max_at call, made inside the first
-mask() of the first predicate, when its truth table is built), one
-quantum query per amplification step, one classical query per
-post-measurement lookup.
+certified once (every cell in one local_max_at call, made when the
+oracle's values are first needed, inside the first mask() of the first
+predicate), one quantum query per amplification step, one classical
+query per post-measurement lookup.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +42,7 @@ from .holder import (
     taylor_tableau,
 )
 from .qcore import QueryLedger
-from .search import MaxResult, SearchParams, _boosted_climb, _ValueTable
+from .search import MaxResult, SearchParams, SequenceOracle, find_maximum
 
 __all__ = [
     "MaximizerParams",
@@ -403,12 +404,8 @@ def quantum_maximize(
     """
     grid = _solve_grid(params, f.d, f.r, f.rho)
     ledger = QueryLedger()
-    table = _ValueTable(ledger, grid.N, lambda: local_max_at(f, grid, grid.centers(), ledger))
-    idx, value, success, chains = _boosted_climb(table, rng, params.search)
-    return MaxResult(
-        value=value,
-        witness=grid.center(idx),
-        success=success,
-        ledger=ledger.snapshot(),
-        thresholds=chains,
+    oracle = SequenceOracle._lazy(
+        grid.N, lambda: local_max_at(f, grid, grid.centers(), ledger), ledger
     )
+    res = find_maximum(oracle, rng, params.search)
+    return replace(res, witness=grid.center(res.witness))

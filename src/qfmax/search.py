@@ -1,14 +1,14 @@
-"""Query-budgeted search and extremum finding over finite value sequences.
+"""Query-budgeted search and maximum finding over finite value sequences.
 
 qsearch performs amplitude amplification with a randomized iteration count
 when the number of marked indices is unknown (the classic exponential
 searching scheme: draw the step count uniformly below a geometrically
-growing cap, measure, verify classically).  find_maximum and find_minimum
-wrap it in a threshold-improvement loop: keep a current best index, search
-for any strictly better one, and stop once the quantum query budget
+growing cap, measure, verify classically).  find_maximum wraps it in a
+threshold-improvement loop: keep a current best index, search for any
+strictly better one, and stop once the quantum query budget
 ceil(budget_factor * sqrt(n)) is exhausted.  Boosting repeats the whole
 round and keeps the best answer, which drives the failure probability down
-by a factor of two per round.  The climb reads one _ValueTable, whose
+by a factor of two per round.  The climb reads one SequenceOracle, whose
 values may be built on demand, and returns each round's threshold chain.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
     "MaxResult",
     "qsearch",
     "find_maximum",
-    "find_minimum",
 ]
 
 DEFAULT_MAX_QUANTUM_QUERIES = 2**24
@@ -75,42 +74,64 @@ class SearchParams:
         return math.ceil(self.budget_factor * math.sqrt(n))
 
 
-@dataclass
 class SequenceOracle:
-    """A sequence of values in [0, 1] addressed by index, plus its ledger."""
+    """A finite sequence of values addressed by index, plus its ledger.
 
-    values: np.ndarray
-    ledger: QueryLedger = field(default_factory=QueryLedger)
+    values must form a non-empty 1-d array of finite numbers.  Each
+    value(i) read is one classical query.  above(s) marks the indices whose
+    value is > that of index s: its truth table is values() > values()[s],
+    built at the predicate's first check() or mask().
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must form a non-empty 1-d array")
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
-            raise ValueError("values must lie in [0, 1]")
-        self.values = arr
+    __slots__ = ("n", "ledger", "_vals", "_build")
 
-    @property
-    def n(self) -> int:
-        return self.values.size
+    def __init__(self, values, ledger: QueryLedger | None = None) -> None:
+        self.ledger = ledger if ledger is not None else QueryLedger()
+        self._vals, self._build = self._checked(values), None
+        self.n = self._vals.size
+
+    @classmethod
+    def _lazy(cls, n: int, build, ledger: QueryLedger) -> SequenceOracle:
+        """An oracle over the n values build() returns, built at the first read, check or mask."""
+        oracle = cls.__new__(cls)
+        oracle.n, oracle.ledger, oracle._vals, oracle._build = n, ledger, None, build
+        return oracle
+
+    @staticmethod
+    def _checked(values) -> np.ndarray:
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+            raise ValueError("values must form a non-empty 1-d array of finite numbers")
+        return arr
+
+    def values(self) -> np.ndarray:
+        if self._vals is None:
+            vals = self._checked(self._build())
+            if vals.shape != (self.n,):
+                raise ValueError(f"built values must have shape ({self.n},), got {vals.shape}")
+            self._vals = vals
+        return self._vals
 
     def value(self, i: int) -> float:
         """Read one value (one classical query)."""
         self.ledger.classical_queries += 1
-        return float(self.values[int(i)])
+        return self.values().item(int(i))
+
+    def above(self, s: int) -> MarkPredicate:
+        return MarkPredicate(self.n, lambda: self.values() > self.values()[s], self.ledger)
 
 
 @dataclass
 class MaxResult:
-    """Outcome of an extremum search.
+    """Outcome of a maximum search.
 
     value is the best value found (exactly the sequence/model entry at the
     witness).  success is False when any round was cut off by budget
     exhaustion immediately after an improvement, i.e. its threshold chain
     did not end with a completed, failed search.  thresholds holds one
     chain per boosted round: the values the round climbed through, in
-    order, from its random first read to its best (descending for
-    find_minimum).  The classical baselines leave it empty.
+    order, from its random first read to its best.  The classical
+    baselines leave it empty.
     """
 
     value: float
@@ -179,79 +200,22 @@ def qsearch(
         m = min(params.lambda_ * m, m_cap)
 
 
-class _ValueTable:
-    """The threshold climb's values, one per index, built whole at first use.
-
-    build() returns all n values.  It is called once, by the first value(i)
-    or values() call, never at construction.  Each value(i) read is one
-    classical query.  above(s) marks the indices whose value is > that of
-    index s: its truth table is values() > values()[s], built at the
-    predicate's first check() or mask().
-    """
-
-    __slots__ = ("n", "ledger", "_vals", "_build")
-
-    def __init__(self, ledger: QueryLedger, n: int, build) -> None:
-        self.n = n
-        self.ledger = ledger
-        self._vals = None
-        self._build = build
-
-    def values(self) -> np.ndarray:
-        if self._vals is None:
-            self._vals = self._build()
-        return self._vals
-
-    def value(self, i: int) -> float:
-        self.ledger.classical_queries += 1
-        return self.values().item(int(i))
-
-    def above(self, s: int) -> MarkPredicate:
-        return MarkPredicate(self.n, lambda: self.values() > self.values()[s], self.ledger)
-
-
-def _threshold_climb(table, rng, params, budget):
+def _threshold_climb(oracle, rng, params, budget):
     """One round of threshold improvement within a quantum budget.
 
     Returns (index, chain, clean).  chain lists the values climbed, from
     the random first index to index, read (one classical query each) after
-    the searches, whose first check() builds the table; clean is True when
-    the round ended with a completed (failed) search, not a truncated one.
+    the searches, whose first check() builds lazy values; clean is True
+    when the round ended with a completed (failed) search, not a truncated one.
     """
-    path = [int(rng.integers(0, table.n))]
-    end = table.ledger.quantum_queries + budget
+    path = [int(rng.integers(0, oracle.n))]
+    end = oracle.ledger.quantum_queries + budget
     idx = path[0]
-    while idx is not None and table.ledger.quantum_queries < end:
-        idx = qsearch(table.above(path[-1]), rng, params, end - table.ledger.quantum_queries)
+    while idx is not None and oracle.ledger.quantum_queries < end:
+        idx = qsearch(oracle.above(path[-1]), rng, params, end - oracle.ledger.quantum_queries)
         if idx is not None:
             path.append(idx)
-    return path[-1], [table.value(i) for i in path], idx is None
-
-
-def _boosted_climb(table, rng, params=None):
-    """boost_rounds threshold climbs, each with a fresh budget; keeps the best.
-
-    Returns (index, value, success, chains): the first round with the
-    largest value gives index and value, success is True when every round
-    ended clean, and chains holds each round's chain.  params None means
-    SearchParams().  A total budget above DEFAULT_MAX_QUANTUM_QUERIES is
-    refused before the first read.
-    """
-    params = params if params is not None else SearchParams()
-    # the first test keeps ceil away from an overflowing product
-    per_round = params.budget_factor * math.sqrt(table.n)
-    if (
-        per_round > DEFAULT_MAX_QUANTUM_QUERIES
-        or params.boost_rounds * params.budget(table.n) > DEFAULT_MAX_QUANTUM_QUERIES
-    ):
-        raise ValueError(
-            f"quantum budget of {params.boost_rounds} rounds of {per_round:.6g} queries "
-            f"exceeds the cap of {DEFAULT_MAX_QUANTUM_QUERIES}"
-        )
-    budget = params.budget(table.n)
-    rounds = [_threshold_climb(table, rng, params, budget) for _ in range(params.boost_rounds)]
-    s, chain, _ = max(rounds, key=lambda rnd: rnd[1][-1])
-    return s, chain[-1], all(clean for _, _, clean in rounds), [c for _, c, _ in rounds]
+    return path[-1], [oracle.value(i) for i in path], idx is None
 
 
 def find_maximum(
@@ -262,27 +226,27 @@ def find_maximum(
     """Locate the maximum of the sequence with high probability.
 
     Runs boost_rounds threshold-improvement rounds, each with a fresh
-    quantum budget ceil(budget_factor * sqrt(n)), and keeps the best
-    value.  A single round succeeds with probability greater than one
-    half at the default budget factor; each extra round halves the
-    failure probability.
+    quantum budget ceil(budget_factor * sqrt(n)), and keeps the value and
+    index of the first round with the largest value.  A single round
+    succeeds with probability greater than one half at the default budget
+    factor; each extra round halves the failure probability.  success is
+    True when every round ended clean.  params None means SearchParams().
+    A total budget above DEFAULT_MAX_QUANTUM_QUERIES is refused before the
+    first read.
     """
-    table = _ValueTable(oracle.ledger, oracle.n, lambda: oracle.values)
-    s, v, success, chains = _boosted_climb(table, rng, params)
-    return MaxResult(v, s, success, oracle.ledger.snapshot(), chains)
-
-
-def find_minimum(
-    oracle: SequenceOracle,
-    rng: np.random.Generator,
-    params: SearchParams | None = None,
-) -> MaxResult:
-    """Mirror image of find_maximum (thresholds strictly decrease).
-
-    Runs the maximum search on the negated values; negation is exact, so
-    every comparison, and hence every step, is that of a minimum search.
-    """
-    table = _ValueTable(oracle.ledger, oracle.n, lambda: -oracle.values)
-    s, v, success, chains = _boosted_climb(table, rng, params)
-    chains = [[-t for t in chain] for chain in chains]
-    return MaxResult(-v, s, success, oracle.ledger.snapshot(), chains)
+    params = params if params is not None else SearchParams()
+    # the first test keeps ceil away from an overflowing product
+    per_round = params.budget_factor * math.sqrt(oracle.n)
+    if (
+        per_round > DEFAULT_MAX_QUANTUM_QUERIES
+        or params.boost_rounds * params.budget(oracle.n) > DEFAULT_MAX_QUANTUM_QUERIES
+    ):
+        raise ValueError(
+            f"quantum budget of {params.boost_rounds} rounds of {per_round:.6g} queries "
+            f"exceeds the cap of {DEFAULT_MAX_QUANTUM_QUERIES}"
+        )
+    budget = params.budget(oracle.n)
+    rounds = [_threshold_climb(oracle, rng, params, budget) for _ in range(params.boost_rounds)]
+    s, chain, _ = max(rounds, key=lambda rnd: rnd[1][-1])
+    success = all(clean for _, _, clean in rounds)
+    return MaxResult(chain[-1], s, success, oracle.ledger.snapshot(), [c for _, c, _ in rounds])

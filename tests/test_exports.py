@@ -5,8 +5,18 @@ import pkgutil
 
 import qfmax
 
-# names of the former second model form, folded into the tableau row
-DELETED = ("TaylorModel", "taylor_model", "local_max_taylor", "local_max_values")
+# names of the former second model form, folded into the tableau row, and of
+# the former second value accessor, climb and minimum search, folded into
+# SequenceOracle and find_maximum
+DELETED = (
+    "TaylorModel",
+    "taylor_model",
+    "local_max_taylor",
+    "local_max_values",
+    "find_minimum",
+    "_ValueTable",
+    "_boosted_climb",
+)
 
 
 def test_every_exported_name_resolves_and_no_deleted_name_is_exported():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfmax import maximizer, qcore
+from qfmax.bench import trial_rng
 from qfmax.cli import main
 from qfmax.functions import make_function
 from qfmax.holder import (
@@ -32,7 +33,7 @@ from qfmax.maximizer import (
     quantum_maximize,
 )
 from qfmax.qcore import QueryLedger
-from qfmax.search import SearchParams
+from qfmax.search import SearchParams, SequenceOracle, find_maximum
 
 
 def random_model(rng, d, degree, scale=1.0):
@@ -622,6 +623,28 @@ def test_threshold_chains_climb_through_certified_cell_values():
             assert set(chain) <= set(cells.tolist())
         assert max(chain[-1] for chain in res.thresholds) == res.value
         assert res.value == cells[grid.cell_of(res.witness)[0]]
+
+
+@pytest.mark.parametrize(
+    "name,d,r,n", [("cosprod", 2, 1, 12), ("cosprod", 3, 2, 6), ("peak", 2, 0, 20)]
+)
+def test_a_solve_is_find_maximum_over_its_certified_cells(name, d, r, n):
+    # cosprod's cell values include negative ones, which the sequence
+    # search takes as they are
+    grid = build_grid(n, d)
+    for seed in range(6):
+        f = make_function(name, d, r, 1.0, rng=trial_rng(seed, 0))
+        res = quantum_maximize(f, MaximizerParams(n_override=n), trial_rng(seed, 1))
+        cells = local_max_at(f, grid, grid.centers())
+        ref = find_maximum(SequenceOracle(cells), trial_rng(seed, 1))
+        assert name == "peak" or cells.min() < 0.0
+        assert grid.cell_of(res.witness)[0] == ref.witness
+        np.testing.assert_array_equal(res.witness, grid.center(ref.witness))
+        assert res.value == ref.value
+        assert res.thresholds == ref.thresholds
+        assert res.success == ref.success
+        assert res.ledger.quantum_queries == ref.ledger.quantum_queries
+        assert res.ledger.classical_queries == ref.ledger.classical_queries
 
 
 def test_epsilon_driven_run_meets_target():

@@ -15,9 +15,7 @@ from qfmax.search import (
     MaxResult,
     SearchParams,
     SequenceOracle,
-    _ValueTable,
     find_maximum,
-    find_minimum,
     qsearch,
 )
 
@@ -74,22 +72,21 @@ def test_quantum_budget_at_the_cap_is_accepted():
 
 
 def test_sequence_oracle_validation():
-    with pytest.raises(ValueError):
-        SequenceOracle([])
-    with pytest.raises(ValueError):
-        SequenceOracle([0.2, 1.2])
-    with pytest.raises(ValueError):
-        SequenceOracle([[0.1], [0.2]])
-    orc = SequenceOracle([0.25, 0.75])
-    assert orc.n == 2
-    assert orc.value(1) == 0.75
-    assert orc.ledger.classical_queries == 1
+    for bad in ([], [[0.1], [0.2]], [0.2, math.inf], [-math.inf, 0.2]):
+        with pytest.raises(ValueError, match="non-empty 1-d array of finite numbers"):
+            SequenceOracle(bad)
+    # any finite values are accepted, below 0 and above 1 included
+    orc = SequenceOracle([-2.5, 1.2, 0.75])
+    assert orc.n == 3
+    assert orc.value(0) == -2.5 and orc.value(1) == 1.2
+    assert orc.ledger.classical_queries == 2
+    np.testing.assert_array_equal(orc.above(2).mask(), [False, True, False])
 
 
 @pytest.mark.parametrize("values", [[math.nan, 0.2, 0.9, 0.1], [0.2, math.nan]])
 def test_sequence_oracle_refuses_nan(values):
-    # every comparison with NaN is false, so NaN slips past "min < 0 or max > 1"
-    with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+    # every comparison with NaN is false, so a NaN cell would never be marked
+    with pytest.raises(ValueError, match="non-empty 1-d array of finite numbers"):
         SequenceOracle(values)
 
 
@@ -286,9 +283,9 @@ def test_find_maximum_budget_compliance():
 def test_value_table_builds_once_at_its_first_use():
     truth = np.array([0.3, 0.5, 0.1, 0.5, 0.9, 0.0])
     first_uses = {
-        "value": lambda table: table.value(2),
-        "check": lambda table: table.above(2).check(0),
-        "mask": lambda table: table.above(2).mask(),
+        "value": lambda oracle: oracle.value(2),
+        "check": lambda oracle: oracle.above(2).check(0),
+        "mask": lambda oracle: oracle.above(2).mask(),
     }
     for name, first_use in first_uses.items():
         calls, ledger = [], QueryLedger()
@@ -297,23 +294,40 @@ def test_value_table_builds_once_at_its_first_use():
             calls.append(name)
             return truth
 
-        table = _ValueTable(ledger, truth.size, build)
-        pred = table.above(1)
-        # neither the table nor a predicate builds at construction
+        oracle = SequenceOracle._lazy(truth.size, build, ledger)
+        pred = oracle.above(1)
+        # neither the oracle nor a predicate builds at construction
         assert calls == []
-        first_use(table)
+        assert oracle.n == truth.size and oracle.ledger is ledger
+        first_use(oracle)
         assert calls == [name]
         # later reads, checks, masks and values() build nothing
-        assert table.value(4) == truth[4] and table.value(5) == truth[5]
+        assert oracle.value(4) == truth[4] and oracle.value(5) == truth[5]
         assert pred.check(4) and not pred.check(2)
-        np.testing.assert_array_equal(table.above(0).mask(), truth > truth[0])
-        np.testing.assert_array_equal(table.values(), truth)
+        np.testing.assert_array_equal(oracle.above(0).mask(), truth > truth[0])
+        np.testing.assert_array_equal(oracle.values(), truth)
         assert calls == [name]
         # above(s) leaves the cells that tie with cell s unmarked, s included
         np.testing.assert_array_equal(pred.mask(), [False, False, False, False, True, False])
         assert not pred.check(1) and not pred.check(3)
         assert ledger.classical_queries == {"value": 1, "check": 1, "mask": 0}[name] + 6
         assert ledger.quantum_queries == 0
+
+
+@pytest.mark.parametrize(
+    "built,message",
+    [
+        (np.zeros(5), r"built values must have shape \(6,\), got \(5,\)"),
+        (np.zeros(7), r"built values must have shape \(6,\), got \(7,\)"),
+        (np.zeros((2, 3)), "non-empty 1-d array of finite numbers"),
+        (np.array([0.1, 0.2, math.inf, 0.3, 0.4, 0.5]), "non-empty 1-d array of finite numbers"),
+    ],
+)
+def test_lazy_oracle_refuses_a_bad_build_at_its_first_use(built, message):
+    oracle = SequenceOracle._lazy(6, lambda: built, QueryLedger())
+    pred = oracle.above(0)
+    with pytest.raises(ValueError, match=message):
+        pred.mask()
 
 
 def test_find_maximum_threshold_chain_strictly_increases():
@@ -326,21 +340,6 @@ def test_find_maximum_threshold_chain_strictly_increases():
             assert chain
             for lo, hi in zip(chain, chain[1:]):
                 assert hi > lo
-
-
-def test_find_minimum_records_decreasing_chains_of_sequence_values():
-    for t in range(40):
-        rng = trial_rng(23, t)
-        vals = rng.permutation(64) / 64
-        res = find_minimum(SequenceOracle(vals), rng)
-        rounds = res.thresholds
-        assert len(rounds) == SearchParams().boost_rounds
-        for chain in rounds:
-            assert chain
-            assert set(chain) <= set(vals.tolist())
-            for hi, lo in zip(chain, chain[1:]):
-                assert lo < hi
-        assert min(chain[-1] for chain in rounds) == res.value
 
 
 @st.composite
@@ -357,13 +356,10 @@ def _searches(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(_searches(), st.sampled_from(["max", "min"]))
-def test_extremum_search_invariants(case, direction):
+@given(_searches())
+def test_extremum_search_invariants(case):
     values, params, seed = case
-    search, best, sign = {"max": (find_maximum, max, 1.0), "min": (find_minimum, min, -1.0)}[
-        direction
-    ]
-    res = search(SequenceOracle(values), np.random.default_rng(seed), params)
+    res = find_maximum(SequenceOracle(values), np.random.default_rng(seed), params)
     rounds = res.thresholds
     # qsearch clamps each round to its exact budget, so there is no per-round slack
     budget = math.ceil(params.budget_factor * math.sqrt(values.size))
@@ -371,38 +367,10 @@ def test_extremum_search_invariants(case, direction):
     assert len(rounds) == params.boost_rounds
     for chain in rounds:
         assert chain
-        assert all(sign * (b - a) > 0.0 for a, b in zip(chain, chain[1:]))
+        assert set(chain) <= set(values.tolist())
+        assert all(b > a for a, b in zip(chain, chain[1:]))
     assert res.value == values[res.witness]
-    assert res.value == best(chain[-1] for chain in rounds)
-
-
-def test_find_minimum_single_element():
-    res = find_minimum(SequenceOracle([0.7]), np.random.default_rng(2))
-    assert res.value == 0.7
-    assert res.witness == 0
-
-
-def test_find_minimum_reverse_sorted_frequency():
-    n = 64
-    vals = np.arange(n)[::-1] / n
-    params = SearchParams(boost_rounds=1)
-    hits = 0
-    for t in range(TRIALS):
-        res = find_minimum(SequenceOracle(vals), trial_rng(99, t), params)
-        hits += int(res.value == 0.0)
-    assert hits / TRIALS >= 0.5 - SIGMA3_HALF
-
-
-def test_min_max_duality():
-    # same seeds, complemented values: the two searches must walk the same
-    # index trajectory
-    for t in range(200):
-        vals = trial_rng(1234, t, 0).random(80)
-        rmin = find_minimum(SequenceOracle(vals), trial_rng(1234, t, 1))
-        rmax = find_maximum(SequenceOracle(1.0 - vals), trial_rng(1234, t, 1))
-        assert rmin.witness == rmax.witness
-        assert rmin.value == pytest.approx(1.0 - rmax.value, abs=1e-15)
-        assert rmin.success == rmax.success
+    assert res.value == max(chain[-1] for chain in rounds)
 
 
 def test_ledger_snapshot_is_isolated():
