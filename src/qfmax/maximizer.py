@@ -118,24 +118,20 @@ def choose_n(
 
 
 # ---------------------------------------------------------------------------
-# certified maximization of Taylor models over boxes
+# certified maximization of Taylor models over one cell
 #
-# Degrees 0 and 1 have exact closed forms in any dimension, degree 2 has
-# exact closed forms for d <= 2 (candidate enumeration: corners, edge
-# vertices, interior critical point).  The general case runs certified
+# Every model is maximized over the same cell [-half, half]^d.  Degrees 0 and
+# 1 have exact closed forms in any dimension, degree 2 for d <= 2 by the faces
+# of the cell (Moré & Toraldo 1989): the 2-D form takes its four edges from the
+# 1-D form, plus the interior critical point.  The general case runs certified
 # branch-and-bound with coefficient-derived gradient bounds, for all rows of
 # a batch in one frontier that splits every unfinished row's best box per pass
 # and is rebuilt after each pass from the boxes still open, oldest first.
 
 
-def _linear_box_max(c0, grads, lo_off, hi_off):
-    # max of c0 + <g, x> over the box, attained at a vertex
-    contrib = np.maximum(grads * lo_off, grads * hi_off)
-    return c0 + contrib.sum(axis=-1)
-
-
-def _quad_box_max_1d(c0, c1, c2, lo, hi):
-    """Vectorized exact max of c0 + c1 x + c2 x^2 over [lo, hi]."""
+def _quad_box_max_1d(c0, c1, c2, half):
+    """Vectorized exact max of c0 + c1 x + c2 x^2 over [-half, half]."""
+    lo, hi = -half, half
     v_lo = c0 + c1 * lo + c2 * lo * lo
     v_hi = c0 + c1 * hi + c2 * hi * hi
     out = np.maximum(v_lo, v_hi)
@@ -147,39 +143,19 @@ def _quad_box_max_1d(c0, c1, c2, lo, hi):
     return np.where(ok, np.maximum(out, v_in), out)
 
 
-def _quad_eval_2d(C, x, y):
-    c00, cy, cx, cyy, cxy, cxx = C
-    return c00 + cx * x + cy * y + cxx * x * x + cxy * x * y + cyy * y * y
-
-
-def _quad_box_max_2d(C, lx, ux, ly, uy):
-    """Vectorized exact max of a bivariate quadratic over a rectangle.
+def _quad_box_max_2d(C, half):
+    """Vectorized exact max of a bivariate quadratic over [-half, half]^2.
 
     C holds coefficient arrays ordered like multi_indices(2, 2):
-    (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), i.e. axis 0 is x.
+    (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), i.e. axis 0 is x.  Each edge
+    is a 1-D quadratic whose ends are the corners.
     """
     c00, cy, cx, cyy, cxy, cxx = C
-    best = _quad_eval_2d(C, lx, ly)
-    for xx, yy in ((lx, uy), (ux, ly), (ux, uy)):
-        best = np.maximum(best, _quad_eval_2d(C, xx, yy))
-    # vertical edges x fixed: quadratic in y
-    for xx in (lx, ux):
-        b = cy + cxy * xx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ys = -b / (2.0 * cyy)
-        ok = (cyy < 0.0) & np.isfinite(ys) & (ys > ly) & (ys < uy)
-        ys = np.where(ok, ys, ly)
-        v = _quad_eval_2d(C, xx, ys)
-        best = np.where(ok, np.maximum(best, v), best)
-    # horizontal edges y fixed: quadratic in x
-    for yy in (ly, uy):
-        b = cx + cxy * yy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = -b / (2.0 * cxx)
-        ok = (cxx < 0.0) & np.isfinite(xs) & (xs > lx) & (xs < ux)
-        xs = np.where(ok, xs, lx)
-        v = _quad_eval_2d(C, xs, yy)
-        best = np.where(ok, np.maximum(best, v), best)
+    best = np.full(c00.shape, -np.inf)
+    for s in (-half, half):
+        on_x = _quad_box_max_1d(c00 + cx * s + cxx * s * s, cy + cxy * s, cyy, half)  # x = s
+        on_y = _quad_box_max_1d(c00 + cy * s + cyy * s * s, cx + cxy * s, cxx, half)  # y = s
+        best = np.maximum(best, np.maximum(on_x, on_y))
     # interior critical point where the Hessian is negative definite
     det = 4.0 * cxx * cyy - cxy * cxy
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,10 +163,9 @@ def _quad_box_max_2d(C, lx, ux, ly, uy):
         ys = (-2.0 * cxx * cy + cxy * cx) / det
     ok = (det > 0.0) & (cxx < 0.0)
     ok &= np.isfinite(xs) & np.isfinite(ys)
-    ok &= (xs > lx) & (xs < ux) & (ys > ly) & (ys < uy)
-    xs = np.where(ok, xs, lx)
-    ys = np.where(ok, ys, ly)
-    v = _quad_eval_2d(C, xs, ys)
+    ok &= (np.abs(xs) < half) & (np.abs(ys) < half)
+    xs, ys = np.where(ok, xs, 0.0), np.where(ok, ys, 0.0)
+    v = c00 + cx * xs + cy * ys + cxx * xs * xs + cxy * xs * ys + cyy * ys * ys
     return np.where(ok, np.maximum(best, v), best)
 
 
@@ -257,12 +232,14 @@ def _branch_bound_max(
     The open boxes of all rows share one frontier and every unstopped row
     takes one such step per pass, so the numpy work is batched across
     rows while each row's sequence of steps is its own.  More than
-    max_nodes splits in one row raise RuntimeError.
+    max_nodes splits in one row raise RuntimeError.  Row i's box is
+    centers[i] + [lo_off, hi_off], the offsets broadcast against centers.
     """
-    rows, d = lo_off.shape
+    rows, d = centers.shape
     cols, scale, parts, grad_tops = _gradient_terms(alphas, d)
     plan = (alphas, parts, grad_tops)
     terms = np.abs(coeffs[:, cols] * scale)
+    # the box as the centers' float rounding sees it, never the exact offsets
     lo = (centers + lo_off) - centers
     hi = (centers + hi_off) - centers
     best, ub = _box_bounds(plan, coeffs, terms, lo, hi)
@@ -327,11 +304,11 @@ def _branch_bound_max(
     return 0.5 * (best + np.where(cap < ub_final, cap, ub_final))
 
 
-def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray:
-    """Certified max of each row's Taylor model over its box, within eps1 > 0.
+def _box_max(alphas, coeffs, centers, half: float, eps1: float) -> np.ndarray:
+    """Certified max of each row's Taylor model over its cell, within eps1 > 0.
 
     Row i is the model with coefficients coeffs[i] (ordered like alphas)
-    around centers[i], maximized over centers[i] + [lo_off[i], hi_off[i]].
+    around centers[i], maximized over centers[i] + [-half, half]^d.
     alphas must be in taylor_tableau's canonical order (multi_indices),
     as they are from local_max_at, the only caller: the closed forms read
     coefficients by position.  Degree <= 1, or degree 2 in d <= 2, use the
@@ -339,21 +316,18 @@ def _box_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray
     branch-and-bound frontier (_branch_bound_max), whose per-row results
     equal those of a per-model heap bit for bit.
     """
-    d = lo_off.shape[1]
+    d = centers.shape[1]
     deg = sum(alphas[-1])  # canonical order ends with the degree on axis 0
     if deg == 0:
         return coeffs[:, 0].copy()
     if deg == 1:
-        # order-1 indices are sorted, so column 1 + k belongs to axis d-1-k
-        return _linear_box_max(coeffs[:, 0], coeffs[:, 1:], lo_off[:, ::-1], hi_off[:, ::-1])
+        return coeffs[:, 0] + (np.abs(coeffs[:, 1:]) * half).sum(axis=-1)
     if deg == 2 and d == 1:
         c0, c1, c2 = coeffs.T
-        return _quad_box_max_1d(c0, c1, c2, lo_off[:, 0], hi_off[:, 0])
+        return _quad_box_max_1d(c0, c1, c2, half)
     if deg == 2 and d == 2:
-        return _quad_box_max_2d(
-            list(coeffs.T), lo_off[:, 0], hi_off[:, 0], lo_off[:, 1], hi_off[:, 1]
-        )
-    return _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1)
+        return _quad_box_max_2d(list(coeffs.T), half)
+    return _branch_bound_max(alphas, coeffs, centers, -half, half, eps1)
 
 
 def local_max_at(
@@ -364,17 +338,17 @@ def local_max_at(
 ) -> np.ndarray:
     """Certified local maxima of f's Taylor models on the grid cells at centers.
 
-    Each model is maximized over its cell, of half width grid.h / 2, within
-    eps1 = (1/n)^(r+rho), the order of its model error; a grid on which
-    eps1 underflows is refused before any evaluation is charged.
-    Vectorized over cells: closed forms for the low degrees, otherwise one
+    Each model is maximized over its cell, center + [-h/2, h/2]^d for
+    h = grid.h, within eps1 = (1/n)^(r+rho), the order of its model error;
+    a grid on which eps1 underflows is refused before any evaluation is
+    charged.  Vectorized over cells, with one half width for all of them:
+    closed forms for the low degrees, otherwise one
     branch-and-bound frontier shared by all cells.  Charges
     coefficient_count(d, r) evaluations per center.
     """
     eps1 = _cell_scale(f, grid)
     alphas, coeffs = taylor_tableau(f, centers, ledger)
-    hi_off = np.full((coeffs.shape[0], f.d), 0.5 * grid.h)
-    return _box_max(alphas, coeffs, centers, -hi_off, hi_off, eps1)
+    return _box_max(alphas, coeffs, centers, 0.5 * grid.h, eps1)
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,17 @@ class SearchParams:
 class SequenceOracle:
     """A finite sequence of values addressed by index, plus its ledger.
 
-    values must form a non-empty 1-d array of finite numbers.  Each
-    value(i) read is one classical query.  above(s) marks the indices whose
-    value is > that of index s: its truth table is values() > values()[s],
-    built at the predicate's first check() or mask().
+    values must form a non-empty 1-d array of finite numbers, kept as a
+    copy.  Each value(i) read is one classical query.  above(s) marks the
+    indices whose value is > that of index s: its truth table is
+    values() > values()[s], built at the predicate's first check() or mask().
     """
 
     __slots__ = ("n", "ledger", "_vals", "_build")
 
     def __init__(self, values, ledger: QueryLedger | None = None) -> None:
         self.ledger = ledger if ledger is not None else QueryLedger()
-        self._vals, self._build = self._checked(values), None
+        self._vals, self._build = self._checked(values).copy(), None
         self.n = self._vals.size
 
     @classmethod

@@ -5,9 +5,10 @@ import pkgutil
 
 import qfmax
 
-# names of the former second model form, folded into the tableau row, and of
-# the former second value accessor, climb and minimum search, folded into
-# SequenceOracle and find_maximum
+# names of the former second model form, folded into the tableau row, of the
+# former second value accessor, climb and minimum search, folded into
+# SequenceOracle and find_maximum, and of the former per-axis box forms,
+# folded into one half width through _box_max
 DELETED = (
     "TaylorModel",
     "taylor_model",
@@ -16,6 +17,8 @@ DELETED = (
     "find_minimum",
     "_ValueTable",
     "_boosted_climb",
+    "_linear_box_max",
+    "_quad_eval_2d",
 )
 
 

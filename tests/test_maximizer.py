@@ -44,10 +44,9 @@ def random_model(rng, d, degree, scale=1.0):
     return alphas, coeffs, center
 
 
-def box_max(alphas, coeffs, center, lo, hi, eps1):
-    """Certified max of one model over the box [lo, hi] around its center."""
-    lo_off, hi_off = (np.asarray(lo) - center)[None], (np.asarray(hi) - center)[None]
-    return float(_box_max(alphas, coeffs[None], center[None], lo_off, hi_off, eps1)[0])
+def box_max(alphas, coeffs, center, half, eps1):
+    """Certified max of one model over the cell center + [-half, half]^d."""
+    return float(_box_max(alphas, coeffs[None], center[None], half, eps1)[0])
 
 
 def dense_grid_max(alphas, coeffs, center, lo, hi, points_total=1_000_000):
@@ -125,23 +124,22 @@ def test_params_require_target():
 
 def test_local_max_constant_model():
     center, coeffs = np.array([0.5]), np.array([0.37])
-    assert box_max(((0,),), coeffs, center, [0.4], [0.6], 1e-6) == 0.37
+    assert box_max(((0,),), coeffs, center, 0.1, 1e-6) == 0.37
 
 
 def test_local_max_linear_vertex_formula():
-    # per-axis extents on both sides: a dispatch that pairs a gradient
-    # with another axis's extent gets these boxes wrong
+    # the max of c0 + <g, x> over [-half, half]^d is c0 + sum |g_k| half, bit
+    # for bit, for every row of a batch
     rng = np.random.default_rng(3)
-    for d in (1, 2, 3):
-        for _ in range(20):
-            alphas, coeffs, center = random_model(rng, d, 1)
-            below, above = rng.uniform(0.01, 0.2, size=(2, d))
-            got = box_max(alphas, coeffs, center, center - below, center + above, 1e-9)
-            want = coeffs[alphas.index((0,) * d)]
-            for k in range(d):
-                g = coeffs[alphas.index(tuple(np.eye(d, dtype=int)[k]))]
-                want += max(-g * below[k], g * above[k])
-            assert got == pytest.approx(want, abs=1e-12)
+    for d in (1, 2, 3, 10):
+        alphas = multi_indices(d, 1)
+        coeffs = rng.normal(size=(20, len(alphas)))
+        centers = rng.random((20, d))
+        half = rng.uniform(0.01, 0.2)
+        got = _box_max(alphas, coeffs, centers, half, 1e-9)
+        for row, value in zip(coeffs, got):
+            grads = np.array([c for c, alpha in zip(row, alphas) if sum(alpha) == 1])
+            assert value == row[alphas.index((0,) * d)] + (np.abs(grads) * half).sum()
 
 
 def test_local_max_interior_parabola():
@@ -149,7 +147,7 @@ def test_local_max_interior_parabola():
     c = 0.52
     coeffs = np.array([1 - (0.5 - c) ** 2, -2 * (0.5 - c), -1.0])
     eps1 = 1e-8
-    got = box_max(((0,), (1,), (2,)), coeffs, np.array([0.5]), [0.4], [0.6], eps1)
+    got = box_max(((0,), (1,), (2,)), coeffs, np.array([0.5]), 0.1, eps1)
     assert got == pytest.approx(1.0, abs=eps1)
 
 
@@ -163,7 +161,7 @@ def test_local_max_vs_dense_grid(d, degree):
         model = random_model(rng, d, degree)
         half = rng.uniform(0.02, 0.08)
         lo, hi = model[2] - half, model[2] + half
-        got = box_max(*model, lo, hi, eps1)
+        got = box_max(*model, half, eps1)
         ref = dense_grid_max(*model, lo, hi, 200_000)
         assert got >= ref - eps1
         assert got <= ref + eps1 + 1e-9
@@ -175,12 +173,39 @@ def test_quadratic_closed_form_agrees_with_branch_and_bound():
         for _ in range(40):
             alphas, coeffs, center = random_model(rng, d, 2)
             half = rng.uniform(0.02, 0.1)
-            exact = box_max(alphas, coeffs, center, center - half, center + half, 1e-10)
+            exact = box_max(alphas, coeffs, center, half, 1e-10)
             bb = _branch_bound_max(
                 alphas, coeffs[None], center[None],
                 np.full((1, d), -half), np.full((1, d), half), 1e-7,
             )[0]
             assert exact == pytest.approx(bb, abs=2e-7)
+
+
+# coefficients (c00, cy, cx, cyy, cxy, cxx), ordered like multi_indices(2, 2)
+QUADRATIC_2D_CASES = {
+    "cxx = 0": (0.2, 0.1, 0.3, -1.0, 0.5, 0.0),
+    "cyy = 0": (0.2, 0.3, 0.1, 0.0, 0.5, -1.0),
+    "det = 0, concave ridge": (0.0, 0.05, 0.1, -1.0, 2.0, -1.0),
+    "no quadratic terms": (0.4, -0.7, 0.2, 0.0, 0.0, 0.0),
+    "saddle": (0.0, 0.1, -0.2, 1.0, 0.3, -1.0),
+    "positive definite": (0.1, -0.1, 0.2, 2.0, 0.5, 1.0),
+    "maximum on an edge": (0.0, 2.0, 0.1, 0.0, 0.0, -1.0),
+    "maximum at a corner": (0.0, 1.0, 1.0, -0.1, 0.0, -0.1),
+    "interior maximum": (0.0, -0.03, 0.05, -1.0, 0.2, -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUADRATIC_2D_CASES))
+def test_quadratic_2d_degenerate_cases(case):
+    # the faces of the cell must cover every Hessian, singular ones included
+    alphas = multi_indices(2, 2)
+    coeffs = np.array(QUADRATIC_2D_CASES[case])
+    center, half = np.array([0.5, 0.5]), 0.25
+    got = box_max(alphas, coeffs, center, half, 1e-10)
+    ref = dense_grid_max(alphas, coeffs, center, center - half, center + half)
+    assert ref - 1e-12 <= got <= ref + 1e-6
+    bb = _branch_bound_max(alphas, coeffs[None], center[None], -half, half, 1e-5)[0]
+    assert got == pytest.approx(bb, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

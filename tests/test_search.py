@@ -83,6 +83,18 @@ def test_sequence_oracle_validation():
     np.testing.assert_array_equal(orc.above(2).mask(), [False, True, False])
 
 
+def test_sequence_oracle_copies_the_callers_values():
+    # value reads and predicate tables both see the values as given, not a later write
+    v = np.array([0.1, 0.9, 0.5])
+    o = SequenceOracle(v)
+    p = o.above(0)
+    p.mask()
+    v[1] = -5.0
+    assert o.value(1) == 0.9
+    assert p.check(1)
+    np.testing.assert_array_equal(o.above(0).mask(), [False, True, True])
+
+
 @pytest.mark.parametrize("values", [[math.nan, 0.2, 0.9, 0.1], [0.2, math.nan]])
 def test_sequence_oracle_refuses_nan(values):
     # every comparison with NaN is false, so a NaN cell would never be marked
