@@ -5,14 +5,14 @@ exhaustive, one classical query per cell), random_maximize scans a
 uniformly sampled subset of cells (drawn without replacement).  Both
 return the best certified local model maximum, so their error obeys the
 same (1/n)^(r+rho) chain as the quantum pipeline; only the query counts
-differ.
+differ.  Both go through one scan, _scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .holder import HolderFunction, build_grid
+from .holder import Grid, HolderFunction, build_grid
 from .maximizer import local_max_at
 from .qcore import QueryLedger
 from .search import MaxResult
@@ -20,19 +20,24 @@ from .search import MaxResult
 __all__ = ["grid_maximize", "random_maximize"]
 
 
-def grid_maximize(f: HolderFunction, n: int) -> MaxResult:
-    """Deterministic exhaustive scan over all n^d local model maxima."""
-    grid = build_grid(n, f.d)
+def _scan(f: HolderFunction, grid: Grid, cells: np.ndarray | None = None) -> MaxResult:
+    """Best certified local model maximum over the cells (default all), one classical query each."""
+    centers = grid.centers(cells)
     ledger = QueryLedger()
-    vals = local_max_at(f, grid, grid.centers(), ledger)
-    ledger.classical_queries += grid.N
+    vals = local_max_at(f, grid, centers, ledger)
+    ledger.classical_queries += centers.shape[0]
     i = int(np.argmax(vals))
     return MaxResult(
         value=float(vals[i]),
-        witness=grid.center(i),
+        witness=centers[i].copy(),
         success=True,
         ledger=ledger.snapshot(),
     )
+
+
+def grid_maximize(f: HolderFunction, n: int) -> MaxResult:
+    """Deterministic exhaustive scan over all n^d local model maxima."""
+    return _scan(f, build_grid(n, f.d))
 
 
 def random_maximize(
@@ -49,17 +54,6 @@ def random_maximize(
     if budget < 1:
         raise ValueError("budget must be positive")
     grid = build_grid(n, f.d)
-    k = min(budget, grid.N)
-    chosen = rng.choice(grid.N, size=k, replace=False)
+    chosen = rng.choice(grid.N, size=min(budget, grid.N), replace=False)
     chosen.sort()
-    centers = grid.centers(chosen)
-    ledger = QueryLedger()
-    vals = local_max_at(f, grid, centers, ledger)
-    ledger.classical_queries += k
-    j = int(np.argmax(vals))
-    return MaxResult(
-        value=float(vals[j]),
-        witness=centers[j],
-        success=True,
-        ledger=ledger.snapshot(),
-    )
+    return _scan(f, grid, chosen)

@@ -13,9 +13,11 @@ trials are run sequentially in a fixed order, and floats are formatted
 canonically, so identical specs produce byte identical files.
 
 Error scoring follows the order-statistic convention: the error quantile
-at level theta is the ceil((1-theta) * trials)-th smallest absolute error,
-i.e. the smallest epsilon exceeded with empirical frequency at most theta.
-Experiments report it at theta = 1/4 (column error_quantile_theta25).
+at level theta = 1/4 (column error_quantile_theta25) is the
+ceil(3/4 * trials)-th smallest absolute error, i.e. the smallest epsilon
+exceeded with empirical frequency at most 1/4.  A maximizer trial
+succeeds when its error is within maximizer._error_bound, the accuracy
+its n promises.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .baselines import grid_maximize
 from .functions import make_function
 from .holder import DEFAULT_MAX_CUBES, _check_class
-from .maximizer import MaximizerParams, _check_h_conf, choose_n, default_h_conf, quantum_maximize
+from .maximizer import MaximizerParams, _check_h_conf, _error_bound, choose_n, quantum_maximize
 from .qcore import MarkPredicate, QueryLedger
 from .reduction import or_trial
 from .search import SearchParams, SequenceOracle, find_maximum, qsearch
@@ -40,7 +42,6 @@ __all__ = [
     "CSV_COLUMNS",
     "DESCRIPTORS",
     "EXPERIMENTS",
-    "ErrorQuantile",
     "ExperimentSpec",
     "estimate_error_quantile",
     "fit_loglog_slope",
@@ -80,24 +81,16 @@ _BIT_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class ErrorQuantile:
-    theta: float
-    epsilon_hat: float
+def estimate_error_quantile(errors) -> float:
+    """Smallest realized |error| exceeded with frequency at most 1/4.
 
-
-def estimate_error_quantile(errors, theta: float = 0.25) -> ErrorQuantile:
-    """Smallest realized |error| exceeded with frequency at most theta.
-
-    This is the ceil((1-theta) * trials)-th smallest absolute error.
+    This is the ceil(3/4 * trials)-th smallest absolute error.
     """
     arr = np.sort(np.abs(np.asarray(errors, dtype=float)))
     if arr.size == 0:
         raise ValueError("need at least one error sample")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    k = math.ceil((1.0 - theta) * arr.size)
-    return ErrorQuantile(theta=theta, epsilon_hat=float(arr[k - 1]))
+    k = math.ceil(0.75 * arr.size)
+    return float(arr[k - 1])
 
 
 def fit_loglog_slope(points) -> tuple[float, float, float]:
@@ -119,11 +112,11 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def binomial_margin(p: float, trials: int, sigmas: float = 3.0) -> float:
-    """sigmas standard deviations of a Bernoulli(p) mean over ``trials``."""
+def binomial_margin(p: float, trials: int) -> float:
+    """Three standard deviations of a Bernoulli(p) mean over ``trials``."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    return sigmas * math.sqrt(p * (1.0 - p) / trials)
+    return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -244,7 +237,7 @@ def _point_row(spec: ExperimentSpec, fields: dict, outcomes: list, columns) -> d
             counts = np.array([getattr(lg, _LEDGER_MEANS[col]) for lg in ledgers], dtype=float)
             row[col] = float(counts.mean())
         else:
-            row[col] = estimate_error_quantile(errors).epsilon_hat
+            row[col] = estimate_error_quantile(errors)
     return row
 
 
@@ -295,15 +288,9 @@ def _maxfind_success(spec: ExperimentSpec):
         yield {"function": "permutation", "n": size}, outcomes, _QUANTUM_CLASSICAL
 
 
-def _error_bound(spec: ExperimentSpec, n: int) -> float:
-    """(h_conf + 1) (1/n)^(r+rho): the accuracy n subdivisions per axis promise."""
-    h_conf = spec.h_conf if spec.h_conf is not None else default_h_conf(spec.d, spec.r)
-    return (h_conf + 1.0) * (1.0 / n) ** (spec.r + spec.rho)
-
-
 def _maximize_trials(spec: ExperimentSpec, p: int, n: int) -> list:
     """The quantum maximizer's trials at point p, on n subdivisions per axis."""
-    bound = _error_bound(spec, n)
+    bound = _error_bound(n, spec.d, spec.r, spec.rho, spec.h_conf)
     params = MaximizerParams(n_override=n, search=spec.search)
     outcomes = []
     for t in range(spec.trials):
@@ -335,8 +322,9 @@ def _baseline_queries(spec: ExperimentSpec):
         res = grid_maximize(f, n)
         err = abs(res.value - f.known_max)
         fields = {"n": n, "N": n**spec.d, "epsilon": eps}
+        bound = _error_bound(n, spec.d, spec.r, spec.rho, spec.h_conf)
         # one classical grid scan: no quantum column
-        yield fields, [(res.ledger, err <= _error_bound(spec, n), err)], _MAXIMIZER_COLUMNS[1:]
+        yield fields, [(res.ledger, err <= bound, err)], _MAXIMIZER_COLUMNS[1:]
 
 
 def _or_reduction(spec: ExperimentSpec):

@@ -2,6 +2,7 @@
 
 Each bench subcommand runs one bench.EXPERIMENTS descriptor, and flags
 with a library default take it from ExperimentSpec or SearchParams.
+Each subcommand takes only the flags it reads.
 
 Defaults may be collected in a config file of ``key = value`` lines
 (# comments allowed); flags given on the command line always win over
@@ -71,22 +72,24 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value defaults file")
     p.add_argument("--seed", type=int, help="master seed (default %(default)s)")
-    p.add_argument("--trials", type=int, help="trials per point (default %(default)s)")
-    p.add_argument("--out", default=None, help="CSV output path (default: stdout summary only)")
-    p.add_argument("--plot-out", default=None, help="optional gnuplot-style .dat output path")
     p.add_argument("--boost-rounds", type=int)
     p.add_argument("--lambda", dest="lambda_", type=float)
     p.add_argument("--budget-factor", type=float)
-    p.set_defaults(
-        seed=ExperimentSpec.master_seed, trials=ExperimentSpec.trials, **asdict(SearchParams())
-    )
+    p.set_defaults(seed=ExperimentSpec.master_seed, **asdict(SearchParams()))
 
 
-def _add_holder(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--function", default=ExperimentSpec.function, help="test function family name")
+def _add_experiment(p: argparse.ArgumentParser) -> None:
+    _add_search(p)
+    p.add_argument("--trials", type=int, help="trials per point (default %(default)s)")
+    p.add_argument("--out", default=None, help="CSV output path (default: stdout summary only)")
+    p.add_argument("--plot-out", default=None, help="optional gnuplot-style .dat output path")
+    p.set_defaults(trials=ExperimentSpec.trials)
+
+
+def _add_class(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=ExperimentSpec.d)
     p.add_argument("--r", type=int, default=ExperimentSpec.r)
     p.add_argument("--rho", type=float, default=ExperimentSpec.rho)
@@ -111,30 +114,32 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("qsearch-bench", help="query scaling of the amplified search")
-    _add_common(p)
+    _add_experiment(p)
     p.add_argument("--n", type=_int_list, default=[2**k for k in range(4, 13)])
 
     p = add_parser("maxfind-bench", help="success rate of sequence maximum finding")
-    _add_common(p)
+    _add_experiment(p)
     p.add_argument("--n", type=_int_list, default=[16, 64, 256, 1024])
 
     p = add_parser("holder-max", help="maximize one function instance and print the result")
-    _add_common(p)
-    _add_holder(p)
+    _add_search(p)
+    _add_class(p)
+    p.add_argument("--function", default=ExperimentSpec.function, help="test function family name")
     p.add_argument("--n", type=int, default=None, help="subdivisions per axis")
     p.add_argument("--eps", type=float, default=None, help="target accuracy")
 
     p = add_parser("scaling", help="scaling-law experiments over n or epsilon")
-    _add_common(p)
-    _add_holder(p)
+    _add_experiment(p)
+    _add_class(p)
+    p.add_argument("--function", default=ExperimentSpec.function, help="test function family name")
     # Checked after the config merge, so a config file may supply it.
     p.add_argument("--kind", choices=sorted(_SCALING_KINDS), default=None)
     p.add_argument("--n", type=_int_list, default=[4, 8, 16, 32, 64])
     p.add_argument("--eps", type=_float_list, default=[0.2, 0.1, 0.05, 0.02, 0.01])
 
     p = add_parser("lowerbound-demo", help="OR-of-bits decision via the maximizer")
-    _add_common(p)
-    _add_holder(p)
+    _add_experiment(p)
+    _add_class(p)
     p.add_argument("--n", type=_int_list, default=[64], help="bit counts")
     p.add_argument("--patterns", help="comma list: zeros, one, random, ones")
     p.set_defaults(patterns=",".join(ExperimentSpec.patterns))
@@ -171,9 +176,9 @@ def _search_params(args: argparse.Namespace) -> SearchParams:
 
 
 def _spec_from(args: argparse.Namespace, descriptor: str) -> ExperimentSpec:
-    fields = {}
-    if hasattr(args, "function"):
-        fields.update(function=args.function, d=args.d, r=args.r, rho=args.rho, h_conf=args.h_conf)
+    # the function class flags this subcommand takes
+    names = ("function", "d", "r", "rho", "h_conf")
+    fields = {name: getattr(args, name) for name in names if hasattr(args, name)}
     if EXPERIMENTS[descriptor].x == "epsilon":
         fields["eps_values"] = tuple(args.eps)
     else:

@@ -309,7 +309,6 @@ def remainder_bound_check(
     f: HolderFunction,
     grid: Grid,
     samples: int,
-    h_conf: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Worst sampled |f - model| / (1/n)^(r+rho) over random (cell, point) pairs.
@@ -318,8 +317,8 @@ def remainder_bound_check(
     per pair, and eval_taylor evaluates each at its pair's point.
 
     For class members the ratio stays below a constant depending only on
-    (d, r); pass that constant as h_conf to turn the check into a hard
-    failure, or leave it None and assert on the returned ratio.
+    (d, r), such as maximizer.default_h_conf; callers compare the
+    returned ratio with it.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -332,10 +331,6 @@ def remainder_bound_check(
     pts = np.clip(centers + offs, 0.0, 1.0)
     alphas, coeffs = taylor_tableau(f, centers)
     worst = float(np.abs(f(pts) - eval_taylor(alphas, coeffs, pts - centers)).max()) / denom
-    if h_conf is not None and worst > h_conf:
-        raise ValueError(
-            f"remainder ratio {worst:.6g} exceeds the declared constant {h_conf:.6g}"
-        )
     return worst
 
 

@@ -93,10 +93,16 @@ def default_h_conf(d: int, r: int) -> float:
     return d**r / math.factorial(r)
 
 
+def _error_bound(n: int, d: int, r: int, rho: float, h_conf: float | None) -> float:
+    """(h_conf + 1) (1/n)^(r+rho), the accuracy n promises; h_conf None means d^r / r!."""
+    h_conf = default_h_conf(d, r) if h_conf is None else h_conf
+    return (h_conf + 1.0) * (1.0 / n) ** (r + rho)
+
+
 def choose_n(
     epsilon: float, d: int, r: int, rho: float, h_conf: float | None = None
 ) -> int:
-    """Smallest n with (h_conf + 1) (1/n)^(r+rho) <= epsilon, refused if n^d is past the cap."""
+    """Smallest n with _error_bound(n, ...) <= epsilon, refused if n^d is past the cap."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     _check_class(d, r, rho)

@@ -75,7 +75,7 @@ class SearchParams:
 
 
 class SequenceOracle:
-    """A finite sequence of values addressed by index, plus its ledger.
+    """A finite sequence of values addressed by index, plus its own ledger, empty at first.
 
     values must form a non-empty 1-d array of finite numbers, kept as a
     copy.  Each value(i) read is one classical query.  above(s) marks the
@@ -85,8 +85,8 @@ class SequenceOracle:
 
     __slots__ = ("n", "ledger", "_vals", "_build")
 
-    def __init__(self, values, ledger: QueryLedger | None = None) -> None:
-        self.ledger = ledger if ledger is not None else QueryLedger()
+    def __init__(self, values) -> None:
+        self.ledger = QueryLedger()
         self._vals, self._build = self._checked(values).copy(), None
         self.n = self._vals.size
 

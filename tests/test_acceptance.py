@@ -150,7 +150,7 @@ def test_criterion_4_error_decay_exponent(capsys):
                     f = make_function("peak", d, r, rho, rng=inst)
                     res = quantum_maximize(f, MaximizerParams(n_override=n), alg)
                     errs.append(abs(res.value - f.known_max))
-                pts.append((n, estimate_error_quantile(np.array(errs), 0.25).epsilon_hat))
+                pts.append((n, estimate_error_quantile(np.array(errs))))
             slope = fit_loglog_slope(pts)[0]
             target = -(r + rho)
             results.append((d, r, rho, slope, target))

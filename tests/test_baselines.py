@@ -60,15 +60,25 @@ def test_random_budget_one_on_constant():
 
 
 def test_random_full_budget_matches_grid():
-    # drawing every center (without replacement) must reproduce the scan
+    # drawing every center (without replacement) runs the scan on the same cells
     for t in range(50):
         rng = np.random.default_rng(40 + t)
         f = make_function("peak", 2, 1, 1.0, rng=rng)
         n = 4
         full = grid_maximize(f, n)
         sampled = random_maximize(f, n, n**2, rng)
-        assert sampled.value == pytest.approx(full.value, abs=1e-12)
+        assert sampled.value == full.value
+        np.testing.assert_array_equal(sampled.witness, full.witness)
+        assert sampled.ledger == full.ledger
         assert sampled.ledger.classical_queries == n**2
+
+
+def test_witness_owns_its_data():
+    # a view would keep every scanned center alive as long as the result
+    f = make_function("peak", 2, 1, 1.0, rng=np.random.default_rng(5))
+    for res in (grid_maximize(f, 20), random_maximize(f, 20, 300, np.random.default_rng(6))):
+        assert res.witness.base is None
+        assert res.witness.shape == (2,)
 
 
 def test_random_budget_caps_at_grid_size():

@@ -15,6 +15,66 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+# The flags each subcommand reads, and so accepts (besides -h/--help).
+FLAGS = {
+    "qsearch-bench": (
+        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
+        "--trials", "--out", "--plot-out", "--n",
+    ),
+    "maxfind-bench": (
+        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
+        "--trials", "--out", "--plot-out", "--n",
+    ),
+    "holder-max": (
+        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
+        "--function", "--d", "--r", "--rho", "--h-conf", "--n", "--eps",
+    ),
+    "scaling": (
+        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
+        "--trials", "--out", "--plot-out",
+        "--function", "--d", "--r", "--rho", "--h-conf", "--kind", "--n", "--eps",
+    ),
+    "lowerbound-demo": (
+        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
+        "--trials", "--out", "--plot-out",
+        "--d", "--r", "--rho", "--h-conf", "--n", "--patterns",
+    ),
+    "list-functions": (),
+}
+
+
+def test_each_subcommand_accepts_exactly_its_flags():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        command: {flag for flag in parser._option_string_actions if flag not in ("-h", "--help")}
+        for command, parser in sub.choices.items()
+    }
+    assert got == {command: set(flags) for command, flags in FLAGS.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["holder-max", "--n", "8"], "trials", "5"),
+        (["holder-max", "--n", "8"], "out", "x.csv"),
+        (["holder-max", "--n", "8"], "plot-out", "x.dat"),
+        (["lowerbound-demo", "--n", "8", "--trials", "1"], "function", "cosprod"),
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_refused(
+    argv, flag, value, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv + [f"--{flag}", value], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"qfmax: error: unrecognized arguments: --{flag} {value}\n")
+    # as a config key it is ignored, like a key only another subcommand takes
+    (tmp_path / "run.cfg").write_text(f"{flag} = {value}\n")
+    code, _, err = run_cli(argv + ["--config", "run.cfg"], capsys)
+    assert code == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_list_functions(capsys):
     code, out, _ = run_cli(["list-functions"], capsys)
     assert code == 0

@@ -8,7 +8,8 @@ import qfmax
 # names of the former second model form, folded into the tableau row, of the
 # former second value accessor, climb and minimum search, folded into
 # SequenceOracle and find_maximum, and of the former per-axis box forms,
-# folded into one half width through _box_max
+# folded into one half width through _box_max, and of the former quantile
+# record, now a float at theta = 1/4
 DELETED = (
     "TaylorModel",
     "taylor_model",
@@ -19,6 +20,7 @@ DELETED = (
     "_boosted_climb",
     "_linear_box_max",
     "_quad_eval_2d",
+    "ErrorQuantile",
 )
 
 

@@ -326,14 +326,6 @@ def test_remainder_ratio_stays_bounded_across_n():
     assert max(ratios[2:]) <= max(ratios[:2]) * 1.05
 
 
-def test_remainder_check_enforces_given_constant():
-    f = sin_function(1)
-    with pytest.raises(ValueError):
-        remainder_bound_check(f, build_grid(8, 1), 2000, h_conf=1e-6)
-    out = remainder_bound_check(f, build_grid(8, 1), 2000, h_conf=10.0)
-    assert 0.0 < out < 10.0
-
-
 def per_cell_remainder_ratio(f, grid, samples, rng):
     """remainder_bound_check as a loop over the sampled cells, one model per cell."""
     denom = grid.h ** (f.r + f.rho)

@@ -27,6 +27,7 @@ from qfmax.maximizer import (
     MaximizerParams,
     _box_max,
     _branch_bound_max,
+    _error_bound,
     choose_n,
     default_h_conf,
     local_max_at,
@@ -101,12 +102,32 @@ def test_choose_n_examples():
 def test_choose_n_bound_and_homogeneity():
     for eps in (0.3, 0.05, 0.007):
         for (d, r, rho) in [(1, 0, 1.0), (2, 1, 0.5)]:
-            h_conf = default_h_conf(d, r)
             n = choose_n(eps, d, r, rho)
-            assert (h_conf + 1.0) * (1.0 / n) ** (r + rho) <= eps * (1 + 1e-9)
+            assert _error_bound(n, d, r, rho, None) <= eps * (1 + 1e-9)
+            assert _error_bound(n, d, r, rho, default_h_conf(d, r)) == _error_bound(
+                n, d, r, rho, None
+            )
             # halving the bound target via eps -> eps/2^(r+rho) doubles n
             n2 = choose_n(eps / 2 ** (r + rho), d, r, rho)
             assert n2 in (2 * n - 1, 2 * n, 2 * n + 1)
+    # n is the smallest that meets eps, also where the bound hits eps exactly
+    rng = np.random.default_rng(24)
+    cases = [(0.02, 2, 0, 1.0, None), (0.2, 1, 0, 1.0, None), (1 / 32, 1, 0, 1.0, None)]
+    cases.append((3e-3, 3, 2, 1.0, None))
+    for _ in range(2000):
+        h_conf = None if rng.random() < 0.5 else float(rng.uniform(0.0, 5.0))
+        d, r = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        cases.append((float(10 ** rng.uniform(-3, 0)), d, r, float(rng.uniform(0.1, 1.0)), h_conf))
+    checked = 0
+    for eps, d, r, rho, h_conf in cases:
+        try:
+            n = choose_n(eps, d, r, rho, h_conf)
+        except ValueError:  # a grid past the cap has no n to check
+            continue
+        checked += 1
+        assert _error_bound(n, d, r, rho, h_conf) <= eps * (1 + 1e-9)
+        assert n == 1 or _error_bound(n - 1, d, r, rho, h_conf) > eps, (eps, d, r, rho, h_conf)
+    assert checked > 1000
 
 
 def test_params_require_target():
