@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .baselines import grid_maximize
-from .functions import make_function
+from .functions import available_functions, make_function
 from .holder import DEFAULT_MAX_CUBES, _check_class
 from .maximizer import MaximizerParams, _check_h_conf, _error_bound, choose_n, quantum_maximize
 from .qcore import MarkPredicate, QueryLedger
@@ -133,8 +133,10 @@ class ExperimentSpec:
 
     sizes holds per-point n values (sequence lengths, subdivisions per
     axis, or bit counts depending on the descriptor); eps_values holds
-    target accuracies for the accuracy-driven experiments.  patterns only
-    applies to or-reduction: distinct names among zeros, one, random, ones.
+    target accuracies for the accuracy-driven experiments.  function, read
+    by the holder-* and baseline-* descriptors, must be in
+    available_functions() for every descriptor.  patterns only applies to
+    or-reduction: distinct names among zeros, one, random, ones.
     """
 
     descriptor: str
@@ -162,6 +164,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"patterns must be distinct names among {', '.join(_BIT_PATTERNS)}, "
                 f"got {','.join(self.patterns)!r}"
+            )
+        if self.function not in available_functions():
+            raise ValueError(
+                f"unknown function {self.function!r}; known: {', '.join(available_functions())}"
             )
         if self.descriptor not in EXPERIMENTS:
             raise ValueError(

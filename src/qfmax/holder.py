@@ -10,9 +10,10 @@ Functions are represented by a derivative evaluator covering every
 multi-index up to order r, so degree-r Taylor models can be assembled at
 any point from exact derivative values.  A model has one form: a row of
 the tableau (alphas, coeffs) that taylor_tableau builds at a batch of
-centers, evaluated at offsets from its center by eval_taylor.
-Subdividing the cube into n^d congruent cells and modelling f around each
-cell center keeps the model error of order (1/n)^(r+rho) uniformly.
+centers, evaluated at offsets from its center by eval_taylor, the one
+polynomial evaluator, which also gives the certification kernel's bounds.
+Subdividing the cube into n^d congruent cells and modelling f around
+each cell center keeps the model error of order (1/n)^(r+rho) uniformly.
 
 The bump family turns bit strings into smooth functions: each bit owns one
 cell of an m-per-edge partition and contributes a compactly supported C^inf
@@ -260,49 +261,30 @@ def _exponents(alphas, d: int) -> tuple[tuple, tuple[int, ...]]:
     return factors, tops
 
 
-def _power_table(x: np.ndarray, top: int) -> list:
-    """Entry e is the e-th power of x for e = 0..top: 1.0, x itself, then x ** e.
+def eval_taylor(alphas, coeffs, offsets: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] * prod(offsets ** alphas[k]) for each row of offsets (M, d).
 
-    Every power in the certification kernel comes from here, so model
-    values and gradient bounds share numpy's array power.
+    The one polynomial evaluator: alphas and coeffs come from
+    taylor_tableau (or are a partial's tableau in the certification
+    kernel), and offsets are points minus the model's center.  coeffs is
+    one row shared by all offsets, or (M, K) with one row per offset.
+    Powers are numpy's x ** e, one column per axis and exponent.  Term j
+    is coefficient column j times the power column of each non-zero
+    exponent, in axis order, and the terms are added left to right into
+    a total that starts at 0.0.
     """
-    table = [1.0, x][: top + 1]
-    table.extend(x**e for e in range(2, top + 1))
-    return table
-
-
-def _monomial_sum(c: np.ndarray, factors, powers) -> np.ndarray:
-    """Per row, 0.0 + the sum over j in order of c[:, j] * prod_(k, e) in factors[j] powers[k][e].
-
-    Term j starts from column c[:, j] and is multiplied by the power
-    column of each of its non-zero exponents, in axis order, so it equals
-    the product over all axes with the zero exponents' factors of exactly
-    1.0.  The terms are added one by one into a total that starts at 0.0,
-    so each row's sum keeps its left-to-right order.  factors comes from
-    _exponents and powers[k] from _power_table.
-    """
-    total = np.zeros(c.shape[0])
-    for term, term_factors in zip(c.T, factors):
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[-1:] != (len(alphas),):
+        raise ValueError(f"coeffs need a last axis of {len(alphas)}, got shape {coeffs.shape}")
+    factors, tops = _exponents(alphas, offsets.shape[1])
+    powers = [[1.0, x, *(x**e for e in range(2, top + 1))] for x, top in zip(offsets.T, tops)]
+    total = np.zeros(offsets.shape[0])
+    for j, term_factors in enumerate(factors):
+        term = coeffs[..., j]
         for k, e in term_factors:
             term = term * powers[k][e]
         total += term
     return total
-
-
-def eval_taylor(alphas, coeffs, offsets: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[..., k] * prod(offsets ** alphas[k]) for each row of offsets (M, d).
-
-    This evaluates a Taylor model: alphas and coeffs come from
-    taylor_tableau, and offsets are points minus the model's center.
-    coeffs is one coefficient row shared by all offsets, or (M, K) with
-    one row per offset.  Powers are numpy's, one column per axis and
-    exponent, and the terms are summed by _monomial_sum.
-    """
-    m, d = offsets.shape
-    factors, tops = _exponents(alphas, d)
-    powers = [_power_table(offsets[:, k], top) for k, top in enumerate(tops)]
-    cols = np.broadcast_to(np.asarray(coeffs, dtype=float), (m, len(alphas)))
-    return _monomial_sum(cols, factors, powers)
 
 
 def remainder_bound_check(
@@ -374,19 +356,26 @@ def bump_profile(u, order: int = 0) -> np.ndarray | float:
         vals = core
     else:
         p = _profile_poly(order)
-        vals = p(arr) * core / s_safe ** (2 * order)
+        denom = s_safe ** (2 * order)
+        tiny = denom == 0.0  # only past order 13, as s > 1e-12
+        vals = p(arr) * core / np.where(tiny, 1.0, denom)
+        if tiny.any():  # there core / s^(2 order) is taken in logs
+            t = s_safe[tiny]
+            vals[tiny] = p(arr[tiny]) * np.exp(1.0 - 1.0 / t - 2 * order * np.log(t))
     out = np.where(inside, vals, 0.0)
     return float(out[0]) if scalar else out
 
 
+# Past it, cancellation in P_k's power basis errs beyond kappa's 10 percent margin.
+_MAX_PROFILE_ORDER = 12
+
+
 def _profile_samples(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """size points of [-1, 1] and phi^(order) there, refused if one is not finite."""
+    """size points of [-1, 1] and phi^(order) there, refused past _MAX_PROFILE_ORDER."""
+    if order > _MAX_PROFILE_ORDER:
+        raise ValueError(f"bump profile derivative of order {order} is past double precision")
     g = np.linspace(-1.0, 1.0, size)
-    with np.errstate(all="ignore"):  # refused below, without a numpy warning
-        v = bump_profile(g, order)
-    if not np.isfinite(v).all():
-        raise ValueError(f"bump profile derivative of order {order} is not finite")
-    return g, v
+    return g, bump_profile(g, order)
 
 
 @lru_cache(maxsize=None)
@@ -496,9 +485,6 @@ class BumpFamily:
             known_max=self.height,
             name=f"bump[{i}]",
         )
-
-    def max_height(self) -> float:
-        return min(1.0, self.kappa * self.radius ** (self.r + self.rho))
 
 
 def make_bump_family(

@@ -34,9 +34,6 @@ from .holder import (
     HolderFunction,
     _cell_scale,
     _check_class,
-    _exponents,
-    _monomial_sum,
-    _power_table,
     build_grid,
     eval_taylor,
     taylor_tableau,
@@ -130,9 +127,9 @@ def choose_n(
 # 1 have exact closed forms in any dimension, degree 2 for d <= 2 by the faces
 # of the cell (Moré & Toraldo 1989): the 2-D form takes its four edges from the
 # 1-D form, plus the interior critical point.  The general case runs certified
-# branch-and-bound with coefficient-derived gradient bounds, for all rows of
-# a batch in one frontier that splits every unfinished row's best box per pass
-# and is rebuilt after each pass from the boxes still open, oldest first.
+# branch-and-bound, bounding each partial by eval_taylor of its |c| tableau,
+# for all rows of a batch in one frontier that splits every unfinished row's
+# best box per pass and is rebuilt from the boxes still open, oldest first.
 
 
 def _quad_box_max_1d(c0, c1, c2, half):
@@ -177,52 +174,43 @@ def _quad_box_max_2d(C, half):
 
 @lru_cache(maxsize=None)
 def _gradient_terms(alphas, d: int):
-    """The terms of each partial derivative d p / d t_k, built once per alphas.
+    """The tableau of each partial derivative d p / d t_k, built once per alphas.
 
-    Returns (cols, scale, parts, tops).  The terms of all d partials are
-    the columns of coeffs[:, cols] * scale: alpha[k] times the coefficient
-    of each alpha with alpha[k] > 0.  Entry k of parts is (start, stop,
-    factors): partial k owns columns start:stop, and factors lists their
-    monomials, alpha with alpha[k] lowered by one, as _exponents does.
-    tops[j] is the largest exponent of axis j in any of them.  cols and
+    Returns (cols, scale, parts).  Entry k of parts is (start, stop,
+    lowered): columns start:stop of coeffs[:, cols] * scale hold alpha[k]
+    times the coefficient of each alpha with alpha[k] > 0, and lowered
+    lists their monomials, alpha with alpha[k] lowered by one.  cols and
     scale are read-only, since every call with these alphas shares them.
     """
-    cols, scale, parts, lowered = [], [], [], []
+    cols, scale, parts = [], [], []
     for k in range(d):
-        start = len(cols)
+        start, lowered = len(cols), []
         for j, alpha in enumerate(alphas):
             if alpha[k]:
                 cols.append(j)
                 scale.append(float(alpha[k]))
                 lowered.append(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :])
-        parts.append((start, len(cols), _exponents(tuple(lowered[start:]), d)[0]))
-    tops = _exponents(tuple(lowered), d)[1]
+        parts.append((start, len(cols), tuple(lowered)))
     cols, scale = np.array(cols, dtype=np.intp), np.array(scale)
     cols.flags.writeable = scale.flags.writeable = False
-    return cols, scale, tuple(parts), tops
+    return cols, scale, tuple(parts)
 
 
-def _box_bounds(plan, coeffs, terms, lo, hi):
+def _box_bounds(alphas, parts, coeffs, terms, lo, hi):
     """Midpoint value and upper bound of each row's model over its offset box.
 
-    plan is (alphas, parts, tops) from _gradient_terms, and terms holds the
-    rows' |c| of the gradient terms.  The value is the model at the box
-    midpoint, by eval_taylor.  The bound adds, per axis k, a sup bound on
-    |d p / d t_k| (sum of |c| prod m^beta over the partial's terms, m the
-    largest |offset|) times the half width.  The power columns of m are
-    built once per call by _power_table, as eval_taylor builds those of
-    the midpoint, and shared by all terms.
+    parts comes from _gradient_terms and terms holds the rows' |c| of its
+    columns.  Both go through eval_taylor: the value is the model at the
+    box midpoint, and the bound adds, per axis k, a sup of |d p / d t_k|
+    (the partial's |c| tableau at m, the largest |offset|) times the half width.
     """
-    alphas, parts, grad_tops = plan
     mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
     width = hi - lo
     val = eval_taylor(alphas, coeffs, mid)
-    powers = [_power_table(m[:, k], t) for k, t in enumerate(grad_tops)]
     slack = np.zeros(m.shape[0])
-    for k, (start, stop, part) in enumerate(parts):
-        g = _monomial_sum(terms[:, start:stop], part, powers)
-        slack += g * 0.5 * width[:, k]
+    for k, (start, stop, lowered) in enumerate(parts):
+        slack += eval_taylor(lowered, terms[:, start:stop], m) * 0.5 * width[:, k]
     return val, val + slack
 
 
@@ -242,13 +230,12 @@ def _branch_bound_max(
     centers[i] + [lo_off, hi_off], the offsets broadcast against centers.
     """
     rows, d = centers.shape
-    cols, scale, parts, grad_tops = _gradient_terms(alphas, d)
-    plan = (alphas, parts, grad_tops)
+    cols, scale, parts = _gradient_terms(alphas, d)
     terms = np.abs(coeffs[:, cols] * scale)
     # the box as the centers' float rounding sees it, never the exact offsets
     lo = (centers + lo_off) - centers
     hi = (centers + hi_off) - centers
-    best, ub = _box_bounds(plan, coeffs, terms, lo, hi)
+    best, ub = _box_bounds(alphas, parts, coeffs, terms, lo, hi)
     ub_final = np.zeros(rows)
     nodes = np.zeros(rows, dtype=np.int64)
     stopped = np.zeros(rows, dtype=bool)
@@ -289,7 +276,7 @@ def _branch_bound_max(
         lo2[pick, axis] = mid
         clo, chi = np.concatenate([blo, lo2]), np.concatenate([hi1, bhi])
         crow = np.concatenate([tc, tc])
-        val, cub = _box_bounds(plan, coeffs[crow], terms[crow], clo, chi)
+        val, cub = _box_bounds(alphas, parts, coeffs[crow], terms[crow], clo, chi)
         # the incumbent takes the low half's value before the high half is tested
         b0 = best[tc]
         b1 = np.where(val[: tc.size] > b0, val[: tc.size], b0)

@@ -8,6 +8,7 @@ import pytest
 from qfmax.bench import (
     CSV_COLUMNS,
     DESCRIPTORS,
+    EXPERIMENTS,
     ExperimentSpec,
     binomial_margin,
     estimate_error_quantile,
@@ -110,6 +111,13 @@ def test_run_experiment_validation():
 def test_spec_refuses_bad_counts_and_class_parameters(fields, message):
     with pytest.raises(ValueError, match=message):
         ExperimentSpec("holder-error-vs-n", **fields)
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS)
+def test_every_descriptor_refuses_an_unknown_function(descriptor):
+    points = {"sizes": (8,)} if EXPERIMENTS[descriptor].x == "n" else {"eps_values": (0.1,)}
+    with pytest.raises(ValueError, match="unknown function 'bogus'; known: bumpfamily"):
+        ExperimentSpec(descriptor, function="bogus", trials=2, **points)
 
 
 def test_qsearch_scaling_rows():

@@ -8,8 +8,9 @@ import qfmax
 # names of the former second model form, folded into the tableau row, of the
 # former second value accessor, climb and minimum search, folded into
 # SequenceOracle and find_maximum, and of the former per-axis box forms,
-# folded into one half width through _box_max, and of the former quantile
-# record, now a float at theta = 1/4
+# folded into one half width through _box_max, of the former quantile
+# record, now a float at theta = 1/4, and of the former power table and
+# monomial sum, folded into eval_taylor
 DELETED = (
     "TaylorModel",
     "taylor_model",
@@ -21,6 +22,8 @@ DELETED = (
     "_linear_box_max",
     "_quad_eval_2d",
     "ErrorQuantile",
+    "_power_table",
+    "_monomial_sum",
 )
 
 

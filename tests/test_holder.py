@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qfmax.holder import (
     remainder_bound_check,
     taylor_tableau,
 )
-from qfmax.holder import _SUPPORT_SHRINK, _exponents, _monomial_sum, _power_table
+from qfmax.holder import _SUPPORT_SHRINK, _profile_poly
 from qfmax.qcore import QueryLedger
 
 # Frozen oracles.
@@ -232,7 +233,7 @@ def test_eval_taylor_reproduces_polynomials_exactly():
 
 
 def gather_accumulate_sum(c, exps, tables):
-    """The former _monomial_sum, kept as the reference for the column-wise one.
+    """A gather-and-accumulate monomial sum, the reference for eval_taylor's column-wise one.
 
     tables[k] is (R, top + 1) with column e the e-th power of variable k:
     every axis gathers its power columns into the (R, K) terms, zero
@@ -256,27 +257,33 @@ def _monomial_cases(draw):
     coeffs = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
     zero = rng.random(shape) < 0.2
     coeffs[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))  # +0.0 and -0.0
-    if draw(st.booleans()):  # one coefficient row shared by all rows
+    shared = draw(st.booleans())  # one coefficient row shared by all rows
+    if shared:
         coeffs = np.broadcast_to(coeffs[0], shape)
     x = rng.uniform(-1.5, 1.5, size=(rows, d))
     x[rng.random(x.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
-    return alphas, coeffs, x
+    return alphas, coeffs, x, shared
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_monomial_cases())
 def test_monomial_sum_matches_gather_and_accumulate_bitwise(case):
-    alphas, coeffs, x = case
+    alphas, coeffs, x, shared = case
     rows, d = x.shape
     exps = np.array(alphas).reshape(len(alphas), d)
     tables = [
         np.column_stack([np.ones(rows)] + [x[:, k] ** e for e in range(1, top + 1)])
         for k, top in enumerate(exps.max(axis=0))
     ]
-    factors, tops = _exponents(alphas, d)
-    powers = [_power_table(x[:, k], top) for k, top in enumerate(tops)]
-    got = _monomial_sum(coeffs, factors, powers)
+    got = eval_taylor(alphas, coeffs[0] if shared else coeffs, x)
     assert got.tobytes() == gather_accumulate_sum(coeffs, exps, tables).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (7,), (3, 5), (3, 7), (3, 1, 5), ()])
+def test_eval_taylor_refuses_coefficients_of_the_wrong_width(shape):
+    alphas = multi_indices(2, 2)  # 6 monomials
+    with pytest.raises(ValueError, match="last axis of 6"):
+        eval_taylor(alphas, np.ones(shape), np.zeros((3, 2)))
 
 
 def test_eval_taylor_frozen_sin_value():
@@ -388,6 +395,35 @@ def test_profile_vanishes_at_support_boundary():
         assert np.abs(bump_profile(u, order)).max() < 1e-8
 
 
+def test_high_order_profile_is_finite_at_the_support_edge():
+    # s^(2 order) underflows to 0 there past order 13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = bump_profile(math.sqrt(1 - 2e-12), 20)
+        edge = 1.0 - np.geomspace(1e-12 * 1.0001, 1e-3, 2001)
+        values = [bump_profile(np.sqrt(edge), order) for order in range(14, 31)]
+    assert value == 0.0
+    assert all(np.isfinite(v).all() for v in values)
+
+
+def test_profile_orders_up_to_13_keep_the_direct_quotient_bitwise():
+    """p(u) * core / s^(2 order) is taken as it stands wherever s^(2 order) > 0.
+
+    s > 1e-12 inside the support, so s^26 > 0 and no order <= 13 takes the
+    logarithmic form.
+    """
+    edge = np.sqrt(1.0 - np.geomspace(1e-12 * 1.0001, 1e-3, 5001))
+    u = np.concatenate([np.linspace(-1.0, 1.0, 40001), edge, -edge])
+    s = 1.0 - u * u
+    inside = s > 1e-12
+    s_safe = np.where(inside, s, 1.0)
+    core = np.exp(1.0 - 1.0 / s_safe)
+    for order in range(14):
+        direct = _profile_poly(order)(u) * core / s_safe ** (2 * order)
+        expected = np.where(inside, direct, 0.0)
+        assert bump_profile(u, order).tobytes() == expected.tobytes()
+
+
 def test_profile_even_odd_symmetry():
     u = np.linspace(0.05, 0.95, 19)
     for order in range(0, 4):
@@ -411,12 +447,15 @@ def test_class_scale_positive_and_decreasing_in_r():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_class_scale_refuses_a_profile_order_past_double_range(d):
-    # Order 44 is the first whose derivative is not finite on the 20,001-point
-    # seminorm grid.  max() used to drop its NaN: at d = 1 the scale divided
-    # by zero, at d >= 2 the seminorm read 0 and kappa came out wrong.
-    assert 0.0 < bump_class_scale(d, 43, 1.0) < math.inf
-    with pytest.raises(ValueError, match="order 44 is not finite"):
-        bump_class_scale(d, 44, 1.0)
+    # Past order 12 the dense estimates of the profile's sup and seminorm,
+    # taken from P_k in the power basis, err beyond kappa's 10 percent
+    # margin: against 60-digit values, order 12's seminorm at rho = 1 is off
+    # by 6.4 percent and order 13's by a factor 3.5.  Order 44, once refused
+    # only because its samples read NaN, is refused by the same rule.
+    assert 0.0 < bump_class_scale(d, 12, 1.0) < math.inf
+    for r in (13, 44):
+        with pytest.raises(ValueError, match=f"order {r} is past double precision"):
+            bump_class_scale(d, r, 1.0)
 
 
 def test_taylor_models_stop_where_the_factorial_overflows():
@@ -432,11 +471,12 @@ def test_single_bump_with_requested_height():
     assert f(np.array([0.5])) == pytest.approx(0.5, abs=1e-15)
     assert f(np.array([0.0])) == 0.0
     assert f(np.array([1.0])) == 0.0
-    assert fam.max_height() >= 0.5
+    assert min(1.0, fam.kappa * fam.radius ** (fam.r + fam.rho)) >= 0.5
 
 
 def test_bump_family_rejects_excess_height():
-    cap = make_bump_family(1, 1, 1, 1.0, None).max_height()
+    fam = make_bump_family(1, 1, 1, 1.0, None)
+    cap = min(1.0, fam.kappa * fam.radius ** (fam.r + fam.rho))
     with pytest.raises(ValueError):
         make_bump_family(1, 1, 1, 1.0, cap * 1.01)
     fam = make_bump_family(1, 1, 1, 1.0, cap)

@@ -28,6 +28,7 @@ from qfmax.maximizer import (
     _box_max,
     _branch_bound_max,
     _error_bound,
+    _gradient_terms,
     choose_n,
     default_h_conf,
     local_max_at,
@@ -336,6 +337,31 @@ def _model_batches(draw):
     lo_off[flat] = hi_off[flat] = 0.0
     eps1 = draw(st.sampled_from([3e-3, 1e-2, 3e-2]))
     return alphas, coeffs, centers, lo_off, hi_off, eps1
+
+
+@pytest.mark.parametrize("d, degree", [(d, g) for d in (1, 2, 3) for g in range(5)])
+def test_gradient_tableaux_match_central_differences(d, degree):
+    """Each partial's (lowered, coeffs[:, cols] * scale) tableau is d p / d t_k.
+
+    The oracle is a central difference of eval_taylor on the model itself,
+    on random rows of coefficients and offsets.
+    """
+    rng = np.random.default_rng(100 * d + degree)
+    alphas = multi_indices(d, degree)
+    coeffs = rng.normal(size=(30, len(alphas)))
+    x = rng.uniform(-1.0, 1.0, size=(30, d))
+    cols, scale, parts = _gradient_terms(alphas, d)
+    assert len(parts) == d
+    h = 1e-5
+    for k, (start, stop, lowered) in enumerate(parts):
+        step = np.zeros(d)
+        step[k] = h
+        fd = (eval_taylor(alphas, coeffs, x + step) - eval_taylor(alphas, coeffs, x - step)) / (
+            2 * h
+        )
+        terms = coeffs[:, cols[start:stop]] * scale[start:stop]
+        np.testing.assert_allclose(eval_taylor(lowered, terms, x), fd, rtol=1e-6, atol=1e-6)
+
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -113,7 +113,7 @@ def test_or_trial_patterns_small():
 
 def test_or_explicit_height_and_params():
     fam = make_bump_family(8, 1, 0, 1.0, None)
-    height = 0.5 * fam.max_height()
+    height = 0.5 * min(1.0, fam.kappa * fam.radius ** (fam.r + fam.rho))
     rng = trial_rng(77, 0)
     bits = np.array([0, 0, 0, 1, 0, 0, 0, 0])
     bit = or_trial(bits, height, MaximizerParams(), rng)[0]
