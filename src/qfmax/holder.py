@@ -16,8 +16,9 @@ Subdividing the cube into n^d congruent cells and modelling f around
 each cell center keeps the model error of order (1/n)^(r+rho) uniformly.
 
 The bump family turns bit strings into smooth functions: each bit owns one
-cell of an m-per-edge partition and contributes a compactly supported C^inf
-bump scaled so the family stays inside the unit ball of the class.
+cell of an m-per-edge partition and contributes a compactly supported C^r
+bump, a product of the polynomial profile bump_profile, scaled so the family
+stays inside the unit ball of the class.
 """
 
 from __future__ import annotations
@@ -320,74 +321,50 @@ def remainder_bound_check(
 # compactly supported bumps
 
 
+# In the power basis the order-r derivative errs by 3.4e-9 of its sup at
+# r = 20 and by 1.7e-8 at r = 21; tests/test_holder.py checks r = 12, 16
+# and 20 against exact rationals.  Up to this cap that stays far inside
+# kappa's 10 percent margin.
+_MAX_PROFILE_ORDER = 20
+
+
 @lru_cache(maxsize=None)
-def _profile_poly(order: int) -> np.polynomial.Polynomial:
-    """Numerator P_k with phi^(k)(u) = P_k(u) / (1-u^2)^(2k) * phi(u).
+def _profile_poly(r: int, order: int) -> np.polynomial.Polynomial:
+    return (np.polynomial.Polynomial([1, 0, -1]) ** (r + 1)).deriv(order)
 
-    Recursion: P_0 = 1 and
-    P_{k+1} = (1-u^2)^2 P_k' + (4k u (1-u^2) - 2u) P_k.
+
+def bump_profile(u, r: int, order: int = 0) -> np.ndarray | float:
+    """The order-th derivative of the C^r profile: (1-|u|)_+ at r = 0, (1-u^2)_+^(r+1) above.
+
+    Every derivative of order <= r vanishes at |u| = 1, and the order-r
+    derivative is Lipschitz, so one profile serves every rho <= 1.
+    Outside the support the value is exactly 0.  Refuses an order outside
+    0..r and an r past _MAX_PROFILE_ORDER.
     """
-    u = np.polynomial.Polynomial([0.0, 1.0])
-    one = np.polynomial.Polynomial([1.0])
-    s = one - u * u
-    if order == 0:
-        return one
-    p = _profile_poly(order - 1)
-    k = order - 1
-    return s * s * p.deriv() + (4.0 * k * u * s - 2.0 * u) * p
-
-
-def bump_profile(u, order: int = 0) -> np.ndarray | float:
-    """phi(u) = exp(1 - 1/(1-u^2)) inside |u| < 1, or its derivatives.
-
-    All derivatives vanish continuously at |u| = 1; outside the support
-    the value is exactly 0.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    if r > _MAX_PROFILE_ORDER:
+        raise ValueError(
+            f"bump profile derivative of order {r} is past double precision "
+            f"(bumps take r <= {_MAX_PROFILE_ORDER})"
+        )
+    if not 0 <= order <= r:
+        raise ValueError(f"order must be in 0..{r}, got {order}")
     arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    s = 1.0 - arr * arr
-    inside = s > 1e-12
-    s_safe = np.where(inside, s, 1.0)
-    core = np.exp(1.0 - 1.0 / s_safe)
-    if order == 0:
-        vals = core
-    else:
-        p = _profile_poly(order)
-        denom = s_safe ** (2 * order)
-        tiny = denom == 0.0  # only past order 13, as s > 1e-12
-        vals = p(arr) * core / np.where(tiny, 1.0, denom)
-        if tiny.any():  # there core / s^(2 order) is taken in logs
-            t = s_safe[tiny]
-            vals[tiny] = p(arr[tiny]) * np.exp(1.0 - 1.0 / t - 2 * order * np.log(t))
-    out = np.where(inside, vals, 0.0)
-    return float(out[0]) if scalar else out
-
-
-# Past it, cancellation in P_k's power basis errs beyond kappa's 10 percent margin.
-_MAX_PROFILE_ORDER = 12
-
-
-def _profile_samples(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """size points of [-1, 1] and phi^(order) there, refused past _MAX_PROFILE_ORDER."""
-    if order > _MAX_PROFILE_ORDER:
-        raise ValueError(f"bump profile derivative of order {order} is past double precision")
-    g = np.linspace(-1.0, 1.0, size)
-    return g, bump_profile(g, order)
+    vals = 1.0 - np.abs(arr) if r == 0 else _profile_poly(r, order)(arr)
+    out = np.where(np.abs(arr) < 1.0, vals, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)
-def _profile_sup(order: int) -> float:
-    return float(np.abs(_profile_samples(order, 8001)[1]).max())
+def _profile_sup(r: int, order: int) -> float:
+    return float(np.abs(bump_profile(np.linspace(-1.0, 1.0, 8001), r, order)).max())
 
 
 @lru_cache(maxsize=None)
-def _profile_seminorm(order: int, rho_key: float) -> float:
-    """Dense estimate of the 1-d rho-Holder seminorm of phi^(order)."""
+def _profile_seminorm(r: int, order: int, rho_key: float) -> float:
+    """Dense estimate of the 1-d rho-Holder seminorm of the profile's order-th derivative."""
     rho = float(rho_key)
-    g, v = _profile_samples(order, 20001)
+    g = np.linspace(-1.0, 1.0, 20001)
+    v = bump_profile(g, r, order)
     step = g[1] - g[0]
     worst = 0.0
     stride = 1
@@ -404,14 +381,15 @@ def bump_class_scale(d: int, r: int, rho_key: float) -> float:
 
     The order-r seminorm of the unit-radius product bump is bounded by
     max over |alpha| = r of sum_k H(alpha_k) prod_{j != k} M(alpha_j),
-    with H and M dense 1-d estimates of the profile derivative seminorms
-    and sups.  A 10 percent margin absorbs the sampling error of the 1-d
-    estimates.  Pairs straddling the support boundary are covered for
-    free: the segment from an inside point to an outside point crosses
-    the boundary, where all constrained derivatives vanish, and max-norm
-    distances along a segment are additive.  Sums over several disjoint
-    supports are NOT covered; a pair split across two supports can push
-    the quotient up by another 2^(1-rho) (see embed_bits).
+    with H and M dense 1-d estimates of the seminorms and sups of the
+    derivatives of the C^r profile (bump_profile).  A 10 percent margin
+    absorbs the sampling error of the 1-d estimates.  Pairs straddling
+    the support boundary are covered for free: the segment from an inside
+    point to an outside point crosses the boundary, where every profile
+    derivative of order <= r vanishes, and max-norm distances along a
+    segment are additive.  Sums over several disjoint supports are NOT
+    covered; a pair split across two supports can push the quotient up by
+    another 2^(1-rho) (see _sum_factor).
     """
     rho = float(rho_key)
     _check_class(d, r, rho)
@@ -421,10 +399,10 @@ def bump_class_scale(d: int, r: int, rho_key: float) -> float:
             continue
         total = 0.0
         for k in range(d):
-            term = _profile_seminorm(alpha[k], rho)
+            term = _profile_seminorm(r, alpha[k], rho)
             for j in range(d):
                 if j != k:
-                    term *= _profile_sup(alpha[j])
+                    term *= _profile_sup(r, alpha[j])
             total += term
         worst = max(worst, total)
     return 1.0 / (1.1 * worst)
@@ -463,7 +441,7 @@ class BumpFamily:
         u = (pts - self.centers[np.asarray(i, dtype=int)]) / self.radius
         out = np.full(pts.shape[0], self.height)
         for k, a in enumerate(alpha):
-            out = out * bump_profile(u[:, k], a) / self.radius**a
+            out = out * bump_profile(u[:, k], self.r, a) / self.radius**a
         return out
 
     def member(self, i: int) -> HolderFunction:
@@ -487,14 +465,25 @@ class BumpFamily:
         )
 
 
+def _sum_factor(n_bumps: int, rho: float) -> float:
+    """How far a sum of members can exceed one member's Holder quotient.
+
+    A pair split across two supports is bounded through the boundary
+    points between them: a^rho + b^rho <= 2^(1-rho) (a+b)^rho.  One bump
+    has no such pair.
+    """
+    return 2.0 ** (1.0 - rho) if n_bumps > 1 else 1.0
+
+
 def make_bump_family(
     n_bumps: int, d: int, r: int, rho: float, height: float | None
 ) -> BumpFamily:
-    """Build a class-conforming family of n_bumps disjoint bumps.
+    """Build a family of n_bumps disjoint bumps whose every sum is a class member.
 
     height=None picks 95 percent of the largest class-conforming height.
-    Raises if the requested height exceeds kappa * radius^(r+rho) (the
-    family would leave the unit ball of the class) or 1 (sup bound).
+    Raises if the requested height exceeds kappa * radius^(r+rho), divided
+    by _sum_factor (a sum of members would leave the unit ball of the
+    class), or 1 (sup bound).
     """
     if n_bumps < 1:
         raise ValueError("n_bumps must be positive")
@@ -508,7 +497,7 @@ def make_bump_family(
         m -= 1
     radius = _SUPPORT_SHRINK * 0.5 / m
     kappa = bump_class_scale(d, r, float(rho))
-    cap = min(1.0, kappa * radius ** (r + rho))
+    cap = min(1.0, kappa * radius ** (r + rho) / _sum_factor(n_bumps, rho))
     if height is None:
         height = 0.95 * cap
     if height <= 0.0:

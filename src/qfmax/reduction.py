@@ -17,11 +17,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .holder import BumpFamily, Grid, HolderFunction, _as_points, make_bump_family
+from .holder import BumpFamily, Grid, HolderFunction, _as_points, _sum_factor, make_bump_family
 from .maximizer import MaximizerParams, _solve_grid, quantum_maximize
 from .search import MaxResult
 
 __all__ = ["embed_bits", "decision_rule", "or_trial"]
+
+
+def _as_bits(bits) -> np.ndarray:
+    """bits as a bool array, refused unless every entry equals 0 or 1 before any cast."""
+    arr = np.asarray(bits)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("bits must contain only 0 and 1")
+    return arr.astype(bool)
 
 
 def embed_bits(bits, family: BumpFamily) -> HolderFunction:
@@ -31,12 +39,9 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
     nonzero; evaluation locates the covering cell and evaluates only that
     member.  The exact maximum is family.height if any bit is set, else 0.
     """
-    arr = np.asarray(bits, dtype=int)
-    if arr.ndim != 1 or arr.size != family.n_bumps:
+    active = _as_bits(bits)
+    if active.ndim != 1 or active.size != family.n_bumps:
         raise ValueError(f"bits must be a flat array of length {family.n_bumps}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("bits must contain only 0 and 1")
-    active = arr.astype(bool)
     d = family.d
     grid = Grid(family.cells_per_edge, d)
 
@@ -51,10 +56,7 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
             out[live] = family.member_derivative(idx[live], tuple(alpha), pts[live])
         return out
 
-    # a^rho + b^rho <= 2^(1-rho) (a+b)^rho: pairs split across two supports
-    # can exceed the single-member quotient by this factor.
-    order = family.r + family.rho
-    declared = 2.0 ** (1.0 - family.rho) * family.height / (family.kappa * family.radius**order)
+    declared = _sum_factor(family.n_bumps, family.rho) * family.member(0).seminorm_bound
     return HolderFunction(
         d=d,
         r=family.r,
@@ -90,7 +92,7 @@ def or_trial(
     runs at the coupled target epsilon = epsilon1 / 4.  Returns
     (bit, maximizer result, epsilon1 used).
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = _as_bits(bits)
     family = make_bump_family(bits.size, d, r, rho, epsilon1)
     if params is None or (params.epsilon is None and params.n_override is None):
         params = replace(params or MaximizerParams(), epsilon=family.height / 4.0)

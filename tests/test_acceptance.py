@@ -313,7 +313,7 @@ def test_criterion_8_oracle_equivalences(capsys):
             if b:
                 member = np.full(pts.shape[0], fam.height)
                 for k in range(fam.d):
-                    member *= bump_profile((pts[:, k] - fam.centers[i, k]) / fam.radius)
+                    member *= bump_profile((pts[:, k] - fam.centers[i, k]) / fam.radius, fam.r)
                 total += member
         worst_c = max(worst_c, float(np.abs(f(pts) - total).max()))
 

@@ -27,7 +27,7 @@ GOLDEN = {
     "04_function_maximizer.py": "2b1450db26b65f025c348917cb150c097121d29af84b50b31dff2973bc39b443",
     "05_quantum_vs_classical_scaling.py":
         "0c877fea3d9da679018ab9b3bff1224a8cde40ad3259d7089804f02304031e40",
-    "06_or_reduction.py": "fe123e8221974b49e85d2fca74312cc7991490b01580e183ef56f402ccda51f5",
+    "06_or_reduction.py": "09646ad09c8b5dbf36dc570b77b387e2ed6ed38e7000234fe1ee6acd632c1904",
 }
 
 

@@ -1,9 +1,10 @@
 """Grids, Taylor models, bump families, and class-membership checks."""
 
+import dataclasses
 import itertools
 import math
 import time
-import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,15 +26,13 @@ from qfmax.holder import (
     remainder_bound_check,
     taylor_tableau,
 )
-from qfmax.holder import _SUPPORT_SHRINK, _profile_poly
+from qfmax.holder import _SUPPORT_SHRINK
 from qfmax.qcore import QueryLedger
 
 # Frozen oracles.
 # Degree-2 model of sin(2*pi*t) at 0.5: f=0, f'=-2*pi, f''=0, so the model
 # at t=0.6 is -2*pi*0.1.
 SIN_TAYLOR2_AT_06 = -0.6283185307179586
-# Profile value exp(1 - 1/(1 - 0.25)) = exp(-1/3).
-PROFILE_AT_HALF = 0.7165313105737893
 
 
 def brute_multi_indices(d, max_order):
@@ -375,62 +374,82 @@ def test_remainder_check_matches_per_cell_loop_bitwise(name, d, r):
 
 
 def test_profile_basic_values():
-    assert bump_profile(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-15)
-    assert bump_profile(np.array([0.5]))[0] == pytest.approx(PROFILE_AT_HALF, abs=1e-15)
-    np.testing.assert_allclose(bump_profile(np.array([-1.0, 1.0, 1.7])), 0.0, atol=1e-300)
+    for r in range(0, 6):
+        at_half = 0.5 if r == 0 else 0.75 ** (r + 1)
+        assert bump_profile(0.0, r) == 1.0
+        assert bump_profile(np.array([0.5]), r)[0] == pytest.approx(at_half, rel=1e-15)
+        assert not bump_profile(np.array([-1.7, -1.0, 1.0, 1.7]), r).any()
 
 
 def test_profile_derivatives_match_finite_differences():
     u = np.linspace(-0.92, 0.92, 41)
     h = 1e-6
-    for order in range(1, 5):
-        exact = bump_profile(u, order)
-        fd = (bump_profile(u + h, order - 1) - bump_profile(u - h, order - 1)) / (2 * h)
-        np.testing.assert_allclose(exact, fd, atol=1e-5, rtol=1e-4)
+    for r in range(1, 6):
+        for order in range(1, r + 1):
+            exact = bump_profile(u, r, order)
+            fd = (bump_profile(u + h, r, order - 1) - bump_profile(u - h, r, order - 1)) / (2 * h)
+            scale = np.abs(bump_profile(np.linspace(-1, 1, 2001), r, order)).max()
+            np.testing.assert_allclose(exact, fd, atol=1e-7 * scale)
 
 
 def test_profile_vanishes_at_support_boundary():
-    u = np.array([1.0 - 1e-3, -1.0 + 1e-3, 1.0, -1.0])
-    for order in range(0, 5):
-        assert np.abs(bump_profile(u, order)).max() < 1e-8
-
-
-def test_high_order_profile_is_finite_at_the_support_edge():
-    # s^(2 order) underflows to 0 there past order 13
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = bump_profile(math.sqrt(1 - 2e-12), 20)
-        edge = 1.0 - np.geomspace(1e-12 * 1.0001, 1e-3, 2001)
-        values = [bump_profile(np.sqrt(edge), order) for order in range(14, 31)]
-    assert value == 0.0
-    assert all(np.isfinite(v).all() for v in values)
-
-
-def test_profile_orders_up_to_13_keep_the_direct_quotient_bitwise():
-    """p(u) * core / s^(2 order) is taken as it stands wherever s^(2 order) > 0.
-
-    s > 1e-12 inside the support, so s^26 > 0 and no order <= 13 takes the
-    logarithmic form.
-    """
-    edge = np.sqrt(1.0 - np.geomspace(1e-12 * 1.0001, 1e-3, 5001))
-    u = np.concatenate([np.linspace(-1.0, 1.0, 40001), edge, -edge])
-    s = 1.0 - u * u
-    inside = s > 1e-12
-    s_safe = np.where(inside, s, 1.0)
-    core = np.exp(1.0 - 1.0 / s_safe)
-    for order in range(14):
-        direct = _profile_poly(order)(u) * core / s_safe ** (2 * order)
-        expected = np.where(inside, direct, 0.0)
-        assert bump_profile(u, order).tobytes() == expected.tobytes()
+    # every order <= r vanishes at |u| = 1 like (1 - |u|)^(r + 1 - order)
+    u = np.array([1.0 - 1e-9, -1.0 + 1e-9])
+    for r in range(0, 6):
+        for order in range(0, r + 1):
+            scale = np.abs(bump_profile(np.linspace(-1, 1, 2001), r, order)).max()
+            assert np.abs(bump_profile(u, r, order)).max() <= 1e-6 * scale
 
 
 def test_profile_even_odd_symmetry():
     u = np.linspace(0.05, 0.95, 19)
-    for order in range(0, 4):
-        sign = (-1) ** order
-        np.testing.assert_allclose(
-            bump_profile(-u, order), sign * bump_profile(u, order), atol=1e-12
-        )
+    for r in range(0, 5):
+        for order in range(0, r + 1):
+            sign = (-1) ** order
+            np.testing.assert_array_equal(bump_profile(-u, r, order), sign * bump_profile(u, r, order))
+
+
+def test_profile_refuses_an_order_outside_0_to_r_and_an_r_past_the_cap():
+    for r, order in ((0, 1), (2, 3), (2, -1), (-1, 0)):
+        with pytest.raises(ValueError, match=f"order must be in 0..{r}, got {order}"):
+            bump_profile(0.5, r, order)
+    with pytest.raises(ValueError, match="bump profile derivative of order 21 is past double"):
+        bump_profile(0.5, 21)
+    # the cap has one home, so a family built by hand past it is refused too
+    fam = make_bump_family(2, 1, 2, 1.0, None)
+    hand_built = dataclasses.replace(fam, r=21)
+    with pytest.raises(ValueError, match="bump profile derivative of order 21"):
+        hand_built.member(0)(fam.centers[0])
+
+
+def _exact_top_derivative(r, u):
+    """d^r/du^r (1 - u^2)^(r+1) at u, in exact rational arithmetic."""
+    coeffs = [0] * (2 * r + 3)
+    for k in range(r + 2):
+        coeffs[2 * k] = math.comb(r + 1, k) * (-1) ** k
+    for _ in range(r):
+        coeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    x = Fraction(float(u))
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("r", [12, 16, 20])
+def test_profile_top_derivative_keeps_its_digits_up_to_the_cap(r):
+    # Measured against exact values on this grid, relative to the sup: value
+    # errors 3.1e-12 (r = 12), 2.6e-10 (16), 3.4e-9 (20) and 1.7e-8 (21, past
+    # the cap); the stride-1 differences behind the seminorm estimate err by
+    # 4.5e-8 at r = 20.  Both stay far inside kappa's 10 percent margin.
+    u = np.linspace(-1.0, 1.0, 2001)
+    exact = np.array([float(_exact_top_derivative(r, x)) for x in u])
+    got = bump_profile(u, r, r)
+    sup = np.abs(exact).max()
+    assert np.abs(got - exact).max() <= 1e-8 * sup
+    slope_exact = np.diff(exact)
+    slope_err = np.abs(np.diff(got) - slope_exact).max()
+    assert slope_err <= 1e-7 * np.abs(slope_exact).max()
 
 
 def test_class_scale_positive_and_decreasing_in_r():
@@ -445,15 +464,37 @@ def test_class_scale_positive_and_decreasing_in_r():
         bump_class_scale(1, 0, 0.0)
 
 
+def test_class_scale_of_the_tent_is_its_margin():
+    # the tent's Lipschitz constant is exactly 1
+    assert bump_class_scale(1, 0, 1.0) == pytest.approx(1 / 1.1, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "d,r,rho,kappa",
+    [
+        (1, 0, 1.0, 0.90909),
+        (2, 0, 1.0, 0.45455),
+        (3, 0, 1.0, 0.30303),
+        (2, 1, 1.0, 0.087672),
+        (3, 1, 1.0, 0.07136),
+        (3, 2, 1.0, 0.013253),
+        (1, 2, 0.5, 0.07377),
+        (1, 4, 1.0, 2.3692e-4),
+    ],
+)
+def test_class_scale_matches_the_recorded_table(d, r, rho, kappa):
+    # five significant digits of the dense estimate on the polynomial profile
+    assert float(f"{bump_class_scale(d, r, rho):.5g}") == kappa
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_class_scale_refuses_a_profile_order_past_double_range(d):
-    # Past order 12 the dense estimates of the profile's sup and seminorm,
-    # taken from P_k in the power basis, err beyond kappa's 10 percent
-    # margin: against 60-digit values, order 12's seminorm at rho = 1 is off
-    # by 6.4 percent and order 13's by a factor 3.5.  Order 44, once refused
-    # only because its samples read NaN, is refused by the same rule.
-    assert 0.0 < bump_class_scale(d, 12, 1.0) < math.inf
-    for r in (13, 44):
+    # Past order 20 the power basis of the profile's order-r derivative errs
+    # by more than 1e-8 of its sup (see the exact check above).  Order 44,
+    # once refused only because its samples read NaN, is refused by the
+    # same rule.
+    assert 0.0 < bump_class_scale(d, 20, 1.0) < math.inf
+    for r in (21, 44):
         with pytest.raises(ValueError, match=f"order {r} is past double precision"):
             bump_class_scale(d, r, 1.0)
 
@@ -514,7 +555,8 @@ def test_bump_layout_edge_matches_the_linear_search():
                 assert (fam.n_bumps, fam.d, fam.r, fam.rho) == (n_bumps, d, r, rho)
                 assert fam.cells_per_edge == m and fam.radius == radius
                 assert fam.kappa == kappa
-                assert fam.height == 0.95 * min(1.0, kappa * radius ** (r + rho))
+                split = 2.0 ** (1.0 - rho) if n_bumps > 1 else 1.0
+                assert fam.height == 0.95 * min(1.0, kappa * radius ** (r + rho) / split)
                 np.testing.assert_array_equal(fam.centers, Grid(m, d).centers(np.arange(n_bumps)))
 
 

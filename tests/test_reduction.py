@@ -30,6 +30,39 @@ def test_embed_validation():
         embed_bits([1, 0, 2, 0], fam)
 
 
+def test_fractional_or_non_binary_bits_are_refused_before_any_cast():
+    fam = make_bump_family(4, 1, 0, 1.0, None)
+    bad = ([0.7, 0.2, 0.9, 0.4], [1, 0, 0.9, 0], [1, 0, math.nan, 0], [1, 0, 2, 0], [1, -1, 0, 0])
+    for bits in bad:
+        with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+            embed_bits(bits, fam)
+        with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+            or_trial(bits, None, None, trial_rng(5, 0))
+    with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+        or_trial(np.full(8, 0.9), None, None, trial_rng(5, 1))
+    flags = np.array([False, True, False, True])
+    f = embed_bits(flags, fam)
+    assert f.known_max == fam.height
+    np.testing.assert_array_equal(f(fam.centers), fam.height * flags)
+    assert or_trial(flags, None, None, trial_rng(5, 2))[1].ledger.quantum_queries > 0
+
+
+@pytest.mark.parametrize(
+    "d,r,rho",
+    [(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0), (3, 2, 1.0),
+     (1, 2, 0.5), (1, 4, 1.0)],
+)
+def test_embedded_alternating_bits_are_a_class_member(d, r, rho):
+    # neighbouring bumps alternate on and off, so pairs split across two
+    # supports and pairs across an empty cell are both sampled
+    n_bits = 3**d
+    fam = make_bump_family(n_bits, d, r, rho, None)
+    f = embed_bits(np.arange(n_bits) % 2, fam)
+    q = membership_check(f, 20_000, np.random.default_rng(d * 100 + r * 10 + int(2 * rho)))
+    assert 0.0 < q <= f.seminorm_bound <= 1.0
+    assert f.sup_bound <= 1.0
+
+
 def test_embed_all_zeros_is_zero_function():
     fam = make_bump_family(8, 1, 0, 1.0, None)
     f = embed_bits(np.zeros(8, dtype=int), fam)

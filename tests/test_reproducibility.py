@@ -47,7 +47,11 @@ To re-record a digest after such a change:
      every row, each digest's row count and the old and new means of its
      ledger counts and success flags.  A threshold climb spends its whole
      quantum budget whatever the stream, so its quantum queries stay
-     equal; the other means should agree within sampling error.
+     equal; the other means should agree within sampling error;
+   - after a change to a function the runs maximize (its values, its
+     height or the grid its accuracy needs), each changed digest's row
+     count and the old and new means of its ledger counts and success
+     flags.
 """
 
 import hashlib
@@ -63,8 +67,8 @@ GOLDEN = {
     "peak-d2": "f83050eb04036c3b1ada55055434a0a72ef8b71992ae4841674eac43dcc7ffe7",
     "cosprod-d3": "1df22a26ad6e55e39eab8624a877e45a518427d50d99022e85f3f255de4573d2",
     "find-maximum": "4d1bd17299542f451354464494f983f5e268551e4eebeda1305f08d29eac5c0c",
-    "or-64": "795d1a33162a08742fad411210653c3ca148b6f262d8380da08024594e649835",
-    "bench": "d50355f7338458e77bc9b3935670e71e30948375a07e23138df60d1762731c03",
+    "or-64": "cdc01b90ce50c3fd77cbb73e70b44b3bcb46b9b08be79eba27514998515493b6",
+    "bench": "c13e4439491bdd82246e0020720a328d86fc15a200e29fbbe746fa92344b2927",
 }
 
 
