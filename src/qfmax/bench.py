@@ -33,14 +33,13 @@ import numpy as np
 from .baselines import grid_maximize
 from .functions import available_functions, make_function
 from .holder import DEFAULT_MAX_CUBES, _check_class
-from .maximizer import MaximizerParams, _check_h_conf, _error_bound, choose_n, quantum_maximize
+from .maximizer import MaximizerParams, _error_bound, choose_n, quantum_maximize
 from .qcore import MarkPredicate, QueryLedger
 from .reduction import or_trial
 from .search import SearchParams, SequenceOracle, find_maximum, qsearch
 
 __all__ = [
     "CSV_COLUMNS",
-    "DESCRIPTORS",
     "EXPERIMENTS",
     "ExperimentSpec",
     "estimate_error_quantile",
@@ -149,7 +148,6 @@ class ExperimentSpec:
     trials: int = 200
     master_seed: int = 1
     search: SearchParams = field(default_factory=SearchParams)
-    h_conf: float | None = None
     patterns: tuple[str, ...] = ("zeros", "one", "random")
 
     def __post_init__(self) -> None:
@@ -158,7 +156,6 @@ class ExperimentSpec:
         if any(n > DEFAULT_MAX_CUBES for n in self.sizes):
             raise ValueError(f"sizes must be at most {DEFAULT_MAX_CUBES}, got {self.sizes}")
         _check_class(self.d, self.r, self.rho)
-        _check_h_conf(self.h_conf)
         names = set(self.patterns)
         if not names or len(names) < len(self.patterns) or not names <= _BIT_PATTERNS.keys():
             raise ValueError(
@@ -171,7 +168,7 @@ class ExperimentSpec:
             )
         if self.descriptor not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.descriptor!r}; known: {', '.join(DESCRIPTORS)}"
+                f"unknown experiment {self.descriptor!r}; known: {', '.join(EXPERIMENTS)}"
             )
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
@@ -280,7 +277,7 @@ def _qsearch_scaling(spec: ExperimentSpec):
             target = int(rng.integers(0, size))
             ledger = QueryLedger()
             pred = MarkPredicate(size, np.arange(size) == target, ledger)
-            outcomes.append((ledger, qsearch(pred, rng, spec.search, budget) == target, None))
+            outcomes.append((ledger, qsearch(pred, rng, budget) == target, None))
         yield {"function": "single-mark", "n": size}, outcomes, ("mean_quantum_queries",)
 
 
@@ -296,7 +293,7 @@ def _maxfind_success(spec: ExperimentSpec):
 
 def _maximize_trials(spec: ExperimentSpec, p: int, n: int) -> list:
     """The quantum maximizer's trials at point p, on n subdivisions per axis."""
-    bound = _error_bound(n, spec.d, spec.r, spec.rho, spec.h_conf)
+    bound = _error_bound(n, spec.d, spec.r, spec.rho)
     params = MaximizerParams(n_override=n, search=spec.search)
     outcomes = []
     for t in range(spec.trials):
@@ -315,26 +312,26 @@ def _error_vs_n(spec: ExperimentSpec):
 
 def _queries_vs_eps(spec: ExperimentSpec):
     for p, eps in enumerate(spec.eps_values):
-        n = choose_n(eps, spec.d, spec.r, spec.rho, spec.h_conf)
+        n = choose_n(eps, spec.d, spec.r, spec.rho)
         fields = {"n": n, "N": n**spec.d, "epsilon": eps}
         yield fields, _maximize_trials(spec, p, n), _MAXIMIZER_COLUMNS
 
 
 def _baseline_queries(spec: ExperimentSpec):
     for p, eps in enumerate(spec.eps_values):
-        n = choose_n(eps, spec.d, spec.r, spec.rho, spec.h_conf)
+        n = choose_n(eps, spec.d, spec.r, spec.rho)
         inst_rng = trial_rng(spec.master_seed, p, 0, 0)
         f = make_function(spec.function, spec.d, spec.r, spec.rho, rng=inst_rng)
         res = grid_maximize(f, n)
         err = abs(res.value - f.known_max)
         fields = {"n": n, "N": n**spec.d, "epsilon": eps}
-        bound = _error_bound(n, spec.d, spec.r, spec.rho, spec.h_conf)
+        bound = _error_bound(n, spec.d, spec.r, spec.rho)
         # one classical grid scan: no quantum column
         yield fields, [(res.ledger, err <= bound, err)], _MAXIMIZER_COLUMNS[1:]
 
 
 def _or_reduction(spec: ExperimentSpec):
-    params = MaximizerParams(h_conf=spec.h_conf, search=spec.search)
+    params = MaximizerParams(search=spec.search)
     for pi, pattern in enumerate(spec.patterns):
         for p, size in enumerate(spec.sizes):
             outcomes = []
@@ -362,8 +359,6 @@ EXPERIMENTS = {
     "baseline-queries-vs-eps": Experiment(_baseline_queries, "epsilon", "mean_classical_queries"),
     "or-reduction": Experiment(_or_reduction, "n", "mean_quantum_queries"),
 }
-
-DESCRIPTORS = tuple(EXPERIMENTS)
 
 
 def run_experiment(spec: ExperimentSpec, out_path=None, plot_path=None) -> list[dict]:

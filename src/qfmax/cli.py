@@ -2,17 +2,8 @@
 
 Each bench subcommand runs one bench.EXPERIMENTS descriptor, and flags
 with a library default take it from ExperimentSpec or SearchParams.
-Each subcommand takes only the flags it reads.
-
-Defaults may be collected in a config file of ``key = value`` lines
-(# comments allowed); flags given on the command line always win over
-the file.  Keys use the flag names without the leading dashes, and each
-value is parsed like the flag's value; keys that only other subcommands
-take are ignored, e.g.::
-
-    trials = 500
-    budget-factor = 30
-    n = 16,64,256
+Each subcommand takes only the flags it reads, spelled in full, and
+flags are the only way to set a run.
 
 Every subcommand exits 0 on success and 2 on a parameter error, with a
 one-line diagnostic on stderr.
@@ -57,26 +48,9 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma separated floats, got {text!r}")
 
 
-def read_config(path) -> dict[str, str]:
-    """Parse a key = value config file into a flat string dict."""
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="key = value defaults file")
     p.add_argument("--seed", type=int, help="master seed (default %(default)s)")
     p.add_argument("--boost-rounds", type=int)
-    p.add_argument("--lambda", dest="lambda_", type=float)
     p.add_argument("--budget-factor", type=float)
     p.set_defaults(seed=ExperimentSpec.master_seed, **asdict(SearchParams()))
 
@@ -93,18 +67,10 @@ def _add_class(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=ExperimentSpec.d)
     p.add_argument("--r", type=int, default=ExperimentSpec.r)
     p.add_argument("--rho", type=float, default=ExperimentSpec.rho)
-    p.add_argument(
-        "--h-conf",
-        type=float,
-        default=ExperimentSpec.h_conf,
-        help="model-error constant H, default d^r/r!: it picks n from --eps (or from the "
-        "bump height in lowerbound-demo) and sets the (H+1)(1/n)^(r+rho) bound that "
-        "scores scaling trials; a maximizer run at a given --n does not read it",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Flags must be spelled in full, on the command line and as config keys.
+    # Flags must be spelled in full: no prefix of a flag stands for it.
     parser = argparse.ArgumentParser(
         prog="qfmax",
         description="Benchmarks for quantum maximum finding over smoothness classes.",
@@ -132,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment(p)
     _add_class(p)
     p.add_argument("--function", default=ExperimentSpec.function, help="test function family name")
-    # Checked after the config merge, so a config file may supply it.
+    # Checked in main, for a one-line error rather than argparse's usage block.
     p.add_argument("--kind", choices=sorted(_SCALING_KINDS), default=None)
     p.add_argument("--n", type=_int_list, default=[4, 8, 16, 32, 64])
     p.add_argument("--eps", type=_float_list, default=[0.2, 0.1, 0.05, 0.02, 0.01])
@@ -148,36 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv, with the --config file's values ahead of the command line's flags.
-
-    Each file value becomes one --key=value token of the subcommand, so it
-    is typed and checked like the flag, and a flag given on the command
-    line, parsed later, wins.  Keys of other subcommands are ignored.
-    """
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None:
-        return args
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    own = sub.choices[args.command]._option_string_actions
-    known = {flag for p in sub.choices.values() for flag in p._option_string_actions}
-    tokens = []
-    for key, value in read_config(args.config).items():
-        if f"--{key}" not in known or key == "config":
-            raise ValueError(f"unknown config key {key!r}")
-        if f"--{key}" in own:
-            tokens.append(f"--{key}={value}")
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
-
-
 def _search_params(args: argparse.Namespace) -> SearchParams:
     return SearchParams(**{name: getattr(args, name) for name in asdict(SearchParams())})
 
 
 def _spec_from(args: argparse.Namespace, descriptor: str) -> ExperimentSpec:
     # the function class flags this subcommand takes
-    names = ("function", "d", "r", "rho", "h_conf")
+    names = ("function", "d", "r", "rho")
     fields = {name: getattr(args, name) for name in names if hasattr(args, name)}
     if EXPERIMENTS[descriptor].x == "epsilon":
         fields["eps_values"] = tuple(args.eps)
@@ -231,12 +174,7 @@ def _cmd_holder_max(args: argparse.Namespace) -> int:
         raise ValueError("holder-max needs --n or --eps")
     rng = trial_rng(args.seed)
     f = make_function(args.function, args.d, args.r, args.rho, rng=rng)
-    params = MaximizerParams(
-        epsilon=args.eps,
-        n_override=args.n,
-        h_conf=args.h_conf,
-        search=_search_params(args),
-    )
+    params = MaximizerParams(epsilon=args.eps, n_override=args.n, search=_search_params(args))
     res = quantum_maximize(f, params, rng)
     witness = ", ".join(f"{x:.6f}" for x in res.witness)
     print(f"function: {f.name} (d={args.d}, r={args.r}, rho={args.rho})")
@@ -252,10 +190,9 @@ def _cmd_holder_max(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = _parse(parser, argv)
+        args = parser.parse_args(argv)
         if args.command == "list-functions":
             for name in available_functions():
                 print(name)

@@ -93,11 +93,11 @@ def _alpha_factorial(alpha: tuple[int, ...]) -> float:
 
 
 def _check_class(d: int, r: int, rho: float) -> None:
-    """Refuse (d, r, rho) outside the class: d >= 1, r >= 0 and 0 < rho <= 1."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    """Refuse (d, r, rho) outside the class: integers d >= 1 and r >= 0, and 0 < rho <= 1."""
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+    if not isinstance(r, numbers.Integral) or r < 0:
+        raise ValueError(f"r must be a non-negative integer, got {r!r}")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
 
@@ -485,10 +485,9 @@ def make_bump_family(
     by _sum_factor (a sum of members would leave the unit ball of the
     class), or 1 (sup bound).
     """
-    if n_bumps < 1:
-        raise ValueError("n_bumps must be positive")
-    if d < 1:
-        raise ValueError("d must be positive")
+    if not isinstance(n_bumps, numbers.Integral) or n_bumps < 1:
+        raise ValueError(f"n_bumps must be a positive integer, got {n_bumps!r}")
+    _check_class(d, r, rho)
     # the fewest cells per edge with m^d >= n_bumps: a float root, made exact
     m = max(1, round(n_bumps ** (1 / d)))
     while m**d < n_bumps:

@@ -54,15 +54,13 @@ __all__ = [
 class MaximizerParams:
     """Configuration for quantum_maximize.
 
-    Either epsilon (target accuracy, resolved through choose_n) or
-    n_override (explicit subdivisions per axis) must be set.  h_conf is
-    the model-error constant used by choose_n, default d^r / r!, so it
-    only matters when epsilon picks n.
+    Either epsilon (target accuracy, resolved through choose_n with the
+    class's model-error constant default_h_conf) or n_override (explicit
+    subdivisions per axis) must be set.
     """
 
     epsilon: float | None = None
     n_override: int | None = None
-    h_conf: float | None = None
     search: SearchParams = field(default_factory=SearchParams)
 
     def __post_init__(self) -> None:
@@ -71,12 +69,6 @@ class MaximizerParams:
                 raise ValueError(f"n_override must be an integer, got {self.n_override!r}")
             if self.n_override < 1:
                 raise ValueError("n_override must be positive")
-        _check_h_conf(self.h_conf)
-
-
-def _check_h_conf(h_conf: float | None) -> None:
-    if h_conf is not None and not 0.0 <= h_conf < math.inf:
-        raise ValueError(f"h_conf must be non-negative and finite, got {h_conf}")
 
 
 def default_h_conf(d: int, r: int) -> float:
@@ -90,24 +82,22 @@ def default_h_conf(d: int, r: int) -> float:
     return d**r / math.factorial(r)
 
 
-def _error_bound(n: int, d: int, r: int, rho: float, h_conf: float | None) -> float:
-    """(h_conf + 1) (1/n)^(r+rho), the accuracy n promises; h_conf None means d^r / r!."""
-    h_conf = default_h_conf(d, r) if h_conf is None else h_conf
-    return (h_conf + 1.0) * (1.0 / n) ** (r + rho)
+def _error_bound(n: int, d: int, r: int, rho: float) -> float:
+    """(H + 1) (1/n)^(r+rho) with H = default_h_conf(d, r), the accuracy n promises."""
+    return (default_h_conf(d, r) + 1.0) * (1.0 / n) ** (r + rho)
 
 
-def choose_n(
-    epsilon: float, d: int, r: int, rho: float, h_conf: float | None = None
-) -> int:
-    """Smallest n with _error_bound(n, ...) <= epsilon, refused if n^d is past the cap."""
+def choose_n(epsilon: float, d: int, r: int, rho: float) -> int:
+    """Smallest n with (H + 1) (1/n)^(r+rho) <= epsilon, refused if n^d is past the cap.
+
+    H = default_h_conf(d, r) is fixed by the class, so epsilon alone sets n.
+    """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     _check_class(d, r, rho)
-    _check_h_conf(h_conf)
     try:
-        if h_conf is None:
-            # d^r / r! <= e^d overflows only for d > 709, where even n = 2 is past the cap
-            h_conf = default_h_conf(d, r)
+        # d^r / r! <= e^d overflows only for d > 709, where even n = 2 is past the cap
+        h_conf = default_h_conf(d, r)
         n = max(1, math.ceil(((h_conf + 1.0) / epsilon) ** (1.0 / (r + rho)) - 1e-12))
     except OverflowError:  # n or h_conf is past a float's range, so the grid is far past the cap
         n = DEFAULT_MAX_CUBES + 1
@@ -214,9 +204,11 @@ def _box_bounds(alphas, parts, coeffs, terms, lo, hi):
     return val, val + slack
 
 
-def _branch_bound_max(
-    alphas, coeffs, centers, lo_off, hi_off, eps1: float, max_nodes: int = 500_000
-) -> np.ndarray:
+# Splits one row of _branch_bound_max may take before the run is refused.
+_MAX_NODES = 500_000
+
+
+def _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> np.ndarray:
     """Certified max of each row's model over its box within eps1, all rows at once.
 
     Every row runs best-first branch-and-bound: pop the box with the
@@ -226,7 +218,7 @@ def _branch_bound_max(
     The open boxes of all rows share one frontier and every unstopped row
     takes one such step per pass, so the numpy work is batched across
     rows while each row's sequence of steps is its own.  More than
-    max_nodes splits in one row raise RuntimeError.  Row i's box is
+    _MAX_NODES splits in one row raise RuntimeError.  Row i's box is
     centers[i] + [lo_off, hi_off], the offsets broadcast against centers.
     """
     rows, d = centers.shape
@@ -264,7 +256,7 @@ def _branch_bound_max(
             # every popped box met its stop rule, so no row has a box left
             break
         nodes[tc] += 1
-        if np.any(nodes[tc] > max_nodes):
+        if np.any(nodes[tc] > _MAX_NODES):
             raise RuntimeError("certified refinement exceeded the node cap")
         # split each popped box along its longest axis into a low and a high half
         pick = np.arange(top.size)
@@ -354,7 +346,7 @@ def _solve_grid(params: MaximizerParams, d: int, r: int, rho: float) -> Grid:
         return build_grid(int(params.n_override), d)
     if params.epsilon is None:
         raise ValueError("either epsilon or n_override must be set")
-    return build_grid(choose_n(params.epsilon, d, r, rho, params.h_conf), d)
+    return build_grid(choose_n(params.epsilon, d, r, rho), d)
 
 
 def quantum_maximize(

@@ -38,6 +38,10 @@ __all__ = [
 
 DEFAULT_MAX_QUANTUM_QUERIES = 2**24
 
+# Growth factor of qsearch's step-count cap (Boyer, Brassard, Hoyer, Tapp
+# 1998): any value in (1, 4/3) keeps the expected cost O(sqrt(dim / marks)).
+_STEP_GROWTH = 8.0 / 7.0
+
 # Uniform doubles qsearch takes from its rng per call: two per attempt, so
 # one block serves 32 attempts.
 _UNIFORM_BLOCK = 64
@@ -47,21 +51,17 @@ _UNIFORM_BLOCK = 64
 class SearchParams:
     """Tunable constants for budgeted search.
 
-    lambda_ is the growth factor of the iteration-count cap, valid in
-    (1, 4/3].  budget_factor scales the total quantum budget
-    ceil(budget_factor * sqrt(n)); the default 22.5 is the classic cutoff
-    for which a single threshold-search round succeeds with probability
-    above one half.  boost_rounds independent rounds are run and the best
-    value kept.
+    budget_factor scales the total quantum budget ceil(budget_factor *
+    sqrt(n)); the default 22.5 is the classic cutoff for which a single
+    threshold-search round succeeds with probability above one half.
+    boost_rounds independent rounds are run and the best value kept.  The
+    step growth factor of qsearch is the fixed _STEP_GROWTH.
     """
 
-    lambda_: float = 8.0 / 7.0
     budget_factor: float = 22.5
     boost_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.lambda_ <= 4.0 / 3.0:
-            raise ValueError("lambda_ must lie in (1, 4/3]")
         if not 0.0 < self.budget_factor < math.inf:
             raise ValueError("budget_factor must be positive and finite")
         if not isinstance(self.boost_rounds, numbers.Integral):
@@ -141,18 +141,13 @@ class MaxResult:
     thresholds: list = field(default_factory=list)
 
 
-def qsearch(
-    pred: MarkPredicate,
-    rng: np.random.Generator,
-    params: SearchParams,
-    max_queries: int,
-) -> int | None:
+def qsearch(pred: MarkPredicate, rng: np.random.Generator, max_queries: int) -> int | None:
     """Find any marked index, unknown mark count, within a query budget.
 
     Each attempt draws j uniformly from {0, ..., ceil(m)-1}, runs j
     amplification steps from the uniform state, measures, and verifies the
     outcome classically (one classical query).  On failure m grows by
-    lambda_ up to sqrt(dim).  Draws are clamped so that exactly
+    _STEP_GROWTH up to sqrt(dim).  Draws are clamped so that exactly
     ``max_queries`` quantum queries are consumed before giving up.
 
     Randomness comes from rng in blocks of _UNIFORM_BLOCK doubles, each
@@ -197,10 +192,10 @@ def qsearch(
             return cand
         if used >= max_queries:
             return None
-        m = min(params.lambda_ * m, m_cap)
+        m = min(_STEP_GROWTH * m, m_cap)
 
 
-def _threshold_climb(oracle, rng, params, budget):
+def _threshold_climb(oracle, rng, budget):
     """One round of threshold improvement within a quantum budget.
 
     Returns (index, chain, clean).  chain lists the values climbed, from
@@ -212,7 +207,7 @@ def _threshold_climb(oracle, rng, params, budget):
     end = oracle.ledger.quantum_queries + budget
     idx = path[0]
     while idx is not None and oracle.ledger.quantum_queries < end:
-        idx = qsearch(oracle.above(path[-1]), rng, params, end - oracle.ledger.quantum_queries)
+        idx = qsearch(oracle.above(path[-1]), rng, end - oracle.ledger.quantum_queries)
         if idx is not None:
             path.append(idx)
     return path[-1], [oracle.value(i) for i in path], idx is None
@@ -246,7 +241,7 @@ def find_maximum(
             f"exceeds the cap of {DEFAULT_MAX_QUANTUM_QUERIES}"
         )
     budget = params.budget(oracle.n)
-    rounds = [_threshold_climb(oracle, rng, params, budget) for _ in range(params.boost_rounds)]
+    rounds = [_threshold_climb(oracle, rng, budget) for _ in range(params.boost_rounds)]
     s, chain, _ = max(rounds, key=lambda rnd: rnd[1][-1])
     success = all(clean for _, _, clean in rounds)
     return MaxResult(chain[-1], s, success, oracle.ledger.snapshot(), [c for _, c, _ in rounds])

@@ -7,7 +7,6 @@ import pytest
 
 from qfmax.bench import (
     CSV_COLUMNS,
-    DESCRIPTORS,
     EXPERIMENTS,
     ExperimentSpec,
     binomial_margin,
@@ -113,7 +112,7 @@ def test_spec_refuses_bad_counts_and_class_parameters(fields, message):
         ExperimentSpec("holder-error-vs-n", **fields)
 
 
-@pytest.mark.parametrize("descriptor", DESCRIPTORS)
+@pytest.mark.parametrize("descriptor", EXPERIMENTS)
 def test_every_descriptor_refuses_an_unknown_function(descriptor):
     points = {"sizes": (8,)} if EXPERIMENTS[descriptor].x == "n" else {"eps_values": (0.1,)}
     with pytest.raises(ValueError, match="unknown function 'bogus'; known: bumpfamily"):
@@ -217,7 +216,7 @@ def test_plot_data_emission(tmp_path):
 
 
 def test_descriptor_catalog_is_complete():
-    assert set(DESCRIPTORS) == {
+    assert set(EXPERIMENTS) == {
         "qsearch-scaling",
         "maxfind-success",
         "holder-error-vs-n",
@@ -267,7 +266,7 @@ _MAXIMIZER = ("N", "epsilon") + _QC + ("mean_evaluations", "error_quantile_theta
         (ExperimentSpec("or-reduction", sizes=(4, 8, 16), trials=1, patterns=("one", "zeros")),
          _POINT + _QC),
     ],
-    ids=DESCRIPTORS,
+    ids=list(EXPERIMENTS),
 )
 def test_descriptor_fills_its_csv_columns(spec, point_columns, tmp_path):
     path = tmp_path / "out.csv"

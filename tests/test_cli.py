@@ -1,11 +1,11 @@
-"""Command line behaviour: parsing, config files, exit codes, outputs."""
+"""Command line behaviour: parsing, exit codes, outputs."""
 
 import argparse
 
 import pytest
 
-from qfmax.bench import DESCRIPTORS
-from qfmax.cli import build_parser, main, read_config
+from qfmax.bench import EXPERIMENTS
+from qfmax.cli import build_parser, main
 from qfmax.search import DEFAULT_MAX_QUANTUM_QUERIES
 
 
@@ -18,26 +18,22 @@ def run_cli(argv, capsys):
 # The flags each subcommand reads, and so accepts (besides -h/--help).
 FLAGS = {
     "qsearch-bench": (
-        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
-        "--trials", "--out", "--plot-out", "--n",
+        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out", "--n",
     ),
     "maxfind-bench": (
-        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
-        "--trials", "--out", "--plot-out", "--n",
+        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out", "--n",
     ),
     "holder-max": (
-        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
-        "--function", "--d", "--r", "--rho", "--h-conf", "--n", "--eps",
+        "--seed", "--boost-rounds", "--budget-factor",
+        "--function", "--d", "--r", "--rho", "--n", "--eps",
     ),
     "scaling": (
-        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
-        "--trials", "--out", "--plot-out",
-        "--function", "--d", "--r", "--rho", "--h-conf", "--kind", "--n", "--eps",
+        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out",
+        "--function", "--d", "--r", "--rho", "--kind", "--n", "--eps",
     ),
     "lowerbound-demo": (
-        "--config", "--seed", "--boost-rounds", "--lambda", "--budget-factor",
-        "--trials", "--out", "--plot-out",
-        "--d", "--r", "--rho", "--h-conf", "--n", "--patterns",
+        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out",
+        "--d", "--r", "--rho", "--n", "--patterns",
     ),
     "list-functions": (),
 }
@@ -59,6 +55,9 @@ def test_each_subcommand_accepts_exactly_its_flags():
         (["holder-max", "--n", "8"], "out", "x.csv"),
         (["holder-max", "--n", "8"], "plot-out", "x.dat"),
         (["lowerbound-demo", "--n", "8", "--trials", "1"], "function", "cosprod"),
+        (["holder-max", "--eps", "0.1"], "h-conf", "1"),
+        (["qsearch-bench", "--n", "16", "--trials", "1"], "lambda", "1.2"),
+        (["maxfind-bench", "--n", "16", "--trials", "1"], "config", "x.cfg"),
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_refused(
@@ -68,11 +67,7 @@ def test_flag_a_subcommand_does_not_read_is_refused(
     code, out, err = run_cli(argv + [f"--{flag}", value], capsys)
     assert (code, out) == (2, "")
     assert err.endswith(f"qfmax: error: unrecognized arguments: --{flag} {value}\n")
-    # as a config key it is ignored, like a key only another subcommand takes
-    (tmp_path / "run.cfg").write_text(f"{flag} = {value}\n")
-    code, _, err = run_cli(argv + ["--config", "run.cfg"], capsys)
-    assert code == 0, err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_list_functions(capsys):
@@ -170,102 +165,16 @@ def test_lowerbound_demo(capsys):
     assert "bits-one" in out
 
 
-def test_read_config_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\ntrials = 9\nn = 16,32  # inline comment\n\nlambda=1.25\n")
-    values = read_config(cfg)
-    assert values == {"trials": "9", "n": "16,32", "lambda": "1.25"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just words\n")
-    with pytest.raises(ValueError):
-        read_config(bad)
-
-
-def test_config_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    # patterns and kind belong to other subcommands and are ignored here
-    cfg.write_text("trials = 7\nn = 16\nseed = 42\npatterns = one\nkind = error-vs-n\n")
-    args = ["qsearch-bench", "--config", str(cfg)]
-    code, out, _ = run_cli(args, capsys)
-    assert code == 0
-    assert "n=16" in out
-
-
-def test_cli_flag_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 1\nn = 16\ntrials = 5\n")
-    base = ["qsearch-bench", "--config", str(cfg)]
-    _, out_cfg, _ = run_cli(base, capsys)
-    _, out_cli, _ = run_cli(base + ["--n", "64"], capsys)
-    assert "n=16" in out_cfg
-    assert "n=64" in out_cli
-    assert "n=16" not in out_cli
-
-
-def test_config_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 3\n")
-    code, _, err = run_cli(["qsearch-bench", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "bogus" in err
-    # a config file cannot name another one
-    cfg.write_text("config = other.cfg\n")
-    code, _, err = run_cli(["qsearch-bench", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "'config'" in err
-
-
-@pytest.mark.parametrize(
-    "line, flag",
-    [("trials = abc", "--trials"), ("n = 16,x", "--n"), ("lambda = fast", "--lambda")],
-)
-def test_bad_config_value_names_its_flag(tmp_path, line, flag, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    code, out, err = run_cli(["qsearch-bench", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert out == ""
-    assert f"error: argument {flag}:" in err
-
-
-def test_missing_config_file_is_parameter_error(capsys):
-    code, _, err = run_cli(["qsearch-bench", "--config", "/does/not/exist.cfg"], capsys)
-    assert code == 2
-    assert err
-
-
-def test_config_loses_to_full_flag_and_refuses_abbreviation(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("trials = 3\nn = 16\n")
-    out_csv = tmp_path / "m.csv"
-    args = ["maxfind-bench", "--trials", "1", "--config", str(cfg), "--out", str(out_csv)]
-    code, _, _ = run_cli(args, capsys)
-    assert code == 0
-    header, row = out_csv.read_text().splitlines()[:2]
-    assert dict(zip(header.split(","), row.split(",")))["trials"] == "1"
-    # an abbreviated flag would slip past the config precedence check
-    code, _, err = run_cli(["maxfind-bench", "--trial", "1", "--config", str(cfg)], capsys)
+def test_abbreviated_flag_is_refused(capsys):
+    code, _, err = run_cli(["maxfind-bench", "--trial", "1"], capsys)
     assert code == 2
     assert "--trial" in err
 
 
-def test_config_supplies_scaling_kind(tmp_path, capsys):
-    cfg = tmp_path / "k.cfg"
-    cfg.write_text("kind = error-vs-n\ntrials = 2\nn = 4,8\n")
-    code, out, err = run_cli(["scaling", "--config", str(cfg)], capsys)
-    assert code == 0, err
-    assert "holder-error-vs-n" in out
-
-
-def test_scaling_without_kind_is_one_line_error(tmp_path, capsys):
+def test_scaling_without_kind_is_one_line_error(capsys):
     code, out, err = run_cli(["scaling", "--trials", "2", "--n", "4,8"], capsys)
     assert code == 2
     assert out == ""
-    assert err == "qfmax: error: scaling needs --kind\n"
-    cfg = tmp_path / "no-kind.cfg"
-    cfg.write_text("trials = 2\n")
-    code, _, err = run_cli(["scaling", "--config", str(cfg)], capsys)
-    assert code == 2
     assert err == "qfmax: error: scaling needs --kind\n"
 
 
@@ -306,11 +215,11 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["holder-max", "--d", "-1", "--n", "3"], "d must"),
         (["holder-max", "--eps", "nan"], "epsilon"),
         (["holder-max", "--eps", "inf"], "epsilon"),
-        (["holder-max", "--n", "4", "--h-conf", "-5"], "h_conf"),
-        (["holder-max", "--eps", "0.1", "--h-conf", "-1"], "h_conf"),
-        (["holder-max", "--eps", "0.1", "--h-conf", "inf"], "h_conf"),
-        (["scaling", "--kind", "error-vs-n", "--n", "4,8,16", "--trials", "2",
-          "--h-conf", "nan"], "h_conf"),
+        (["holder-max", "--n", "0"], "n_override must be positive"),
+        (["holder-max", "--n", "4", "--boost-rounds", "0"], "boost_rounds must be at least 1"),
+        (["holder-max", "--n", "4", "--budget-factor", "0"], "budget_factor must be positive"),
+        (["scaling", "--kind", "error-vs-n", "--n", "4,8", "--trials", "0"],
+         "trials must be a positive integer"),
         (["holder-max", "--n", "4", "--seed", "-1"], "seed"),
         (["qsearch-bench", "--n", "16", "--trials", "2", "--seed", "-1"], "seed"),
         (["lowerbound-demo", "--n", "8", "--patterns", ","], "patterns"),
@@ -415,4 +324,4 @@ def test_every_descriptor_has_exactly_one_cli_route(monkeypatch, capsys):
         kinds = [a.choices for a in parser._actions if a.dest == "kind"]
         for argv in [[command, "--kind", k] for k in kinds[0]] if kinds else [[command]]:
             assert run_cli(argv, capsys)[0] == 0
-    assert sorted(seen) == sorted(DESCRIPTORS)
+    assert sorted(seen) == sorted(EXPERIMENTS)

@@ -9,8 +9,9 @@ import qfmax
 # former second value accessor, climb and minimum search, folded into
 # SequenceOracle and find_maximum, and of the former per-axis box forms,
 # folded into one half width through _box_max, of the former quantile
-# record, now a float at theta = 1/4, and of the former power table and
-# monomial sum, folded into eval_taylor
+# record, now a float at theta = 1/4, of the former power table and
+# monomial sum, folded into eval_taylor, and of the former settable
+# model-error constant, config file reader and second experiment catalogue
 DELETED = (
     "TaylorModel",
     "taylor_model",
@@ -24,6 +25,10 @@ DELETED = (
     "ErrorQuantile",
     "_power_table",
     "_monomial_sum",
+    "_check_h_conf",
+    "read_config",
+    "_parse",
+    "DESCRIPTORS",
 )
 
 

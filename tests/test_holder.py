@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfmax.bench import ExperimentSpec
 from qfmax.functions import make_function
 from qfmax.holder import (
     Grid,
@@ -27,6 +28,7 @@ from qfmax.holder import (
     taylor_tableau,
 )
 from qfmax.holder import _SUPPORT_SHRINK
+from qfmax.maximizer import choose_n
 from qfmax.qcore import QueryLedger
 
 # Frozen oracles.
@@ -522,6 +524,23 @@ def test_bump_family_rejects_excess_height():
         make_bump_family(1, 1, 1, 1.0, cap * 1.01)
     fam = make_bump_family(1, 1, 1, 1.0, cap)
     assert fam.height == pytest.approx(cap)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_function("cosprod", 1, 0.5, 1.0), "r must be a non-negative integer"),
+        (lambda: ExperimentSpec("holder-error-vs-n", r=0.5, sizes=(4,)),
+         "r must be a non-negative integer"),
+        (lambda: ExperimentSpec("or-reduction", d=1.5, sizes=(4,)), "d must be a positive integer"),
+        (lambda: choose_n(0.1, 1, 0.5, 1.0), "r must be a non-negative integer"),
+        (lambda: make_bump_family(4.5, 1, 0, 1.0, None), "n_bumps must be a positive integer"),
+    ],
+    ids=["make_function", "spec-r", "spec-d", "choose_n", "make_bump_family"],
+)
+def test_non_integer_counts_are_refused_up_front(call, message):
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        call()
 
 
 def test_bump_family_layout_and_disjointness():

@@ -82,8 +82,8 @@ def test_default_h_conf_is_correctly_rounded_past_170():
 
 
 def test_choose_n_examples():
-    assert choose_n(0.5, 1, 1, 1.0, h_conf=1.0) == 2
-    assert choose_n(2.0, 1, 1, 1.0, h_conf=1.0) == 1
+    assert choose_n(0.5, 1, 1, 1.0) == 2
+    assert choose_n(2.0, 1, 1, 1.0) == 1
     with pytest.raises(ValueError):
         choose_n(0.0, 1, 0, 1.0)
     with pytest.raises(ValueError, match="r must"):
@@ -93,41 +93,39 @@ def test_choose_n_examples():
     with pytest.raises(ValueError, match="beyond the cap"):
         choose_n(0.1, 1, 0, 1e-300)
     # n^d against the cap of 2^24 cubes: 256^3 fits, 300^3 and 3^40 do not
-    assert choose_n(2.0 / 256, 3, 0, 1.0, h_conf=1.0) == 256
-    assert choose_n(2.0, 40, 0, 1.0, h_conf=1.0) == 1
+    assert choose_n(2.0 / 256, 3, 0, 1.0) == 256
+    assert choose_n(2.0, 40, 0, 1.0) == 1
     for eps, d in ((2.0 / 300, 3), (0.9, 40), (1e-300, 1)):
         with pytest.raises(ValueError, match="beyond the cap"):
-            choose_n(eps, d, 0, 1.0, h_conf=1.0)
+            choose_n(eps, d, 0, 1.0)
 
 
 def test_choose_n_bound_and_homogeneity():
     for eps in (0.3, 0.05, 0.007):
         for (d, r, rho) in [(1, 0, 1.0), (2, 1, 0.5)]:
             n = choose_n(eps, d, r, rho)
-            assert _error_bound(n, d, r, rho, None) <= eps * (1 + 1e-9)
-            assert _error_bound(n, d, r, rho, default_h_conf(d, r)) == _error_bound(
-                n, d, r, rho, None
+            assert _error_bound(n, d, r, rho) <= eps * (1 + 1e-9)
+            assert _error_bound(n, d, r, rho) == (default_h_conf(d, r) + 1.0) * (1.0 / n) ** (
+                r + rho
             )
             # halving the bound target via eps -> eps/2^(r+rho) doubles n
             n2 = choose_n(eps / 2 ** (r + rho), d, r, rho)
             assert n2 in (2 * n - 1, 2 * n, 2 * n + 1)
     # n is the smallest that meets eps, also where the bound hits eps exactly
     rng = np.random.default_rng(24)
-    cases = [(0.02, 2, 0, 1.0, None), (0.2, 1, 0, 1.0, None), (1 / 32, 1, 0, 1.0, None)]
-    cases.append((3e-3, 3, 2, 1.0, None))
+    cases = [(0.02, 2, 0, 1.0), (0.2, 1, 0, 1.0), (1 / 32, 1, 0, 1.0), (3e-3, 3, 2, 1.0)]
     for _ in range(2000):
-        h_conf = None if rng.random() < 0.5 else float(rng.uniform(0.0, 5.0))
         d, r = int(rng.integers(1, 4)), int(rng.integers(0, 3))
-        cases.append((float(10 ** rng.uniform(-3, 0)), d, r, float(rng.uniform(0.1, 1.0)), h_conf))
+        cases.append((float(10 ** rng.uniform(-3, 0)), d, r, float(rng.uniform(0.1, 1.0))))
     checked = 0
-    for eps, d, r, rho, h_conf in cases:
+    for eps, d, r, rho in cases:
         try:
-            n = choose_n(eps, d, r, rho, h_conf)
+            n = choose_n(eps, d, r, rho)
         except ValueError:  # a grid past the cap has no n to check
             continue
         checked += 1
-        assert _error_bound(n, d, r, rho, h_conf) <= eps * (1 + 1e-9)
-        assert n == 1 or _error_bound(n - 1, d, r, rho, h_conf) > eps, (eps, d, r, rho, h_conf)
+        assert _error_bound(n, d, r, rho) <= eps * (1 + 1e-9)
+        assert n == 1 or _error_bound(n - 1, d, r, rho) > eps, (eps, d, r, rho)
     assert checked > 1000
 
 
@@ -459,7 +457,7 @@ def test_tied_bounds_pop_the_box_pushed_in_an_earlier_pass():
     assert got == want
 
 
-def test_node_cap_applies_per_row():
+def test_node_cap_applies_per_row(monkeypatch):
     rng = np.random.default_rng(21)
     alphas = multi_indices(2, 3)
     rows = 60
@@ -474,13 +472,12 @@ def test_node_cap_applies_per_row():
     cap = max(nodes)
     assert cap >= 2 and sum(nodes) > 10 * cap
     # many rows together split far more than cap boxes, none more than cap
-    _branch_bound_max(alphas, coeffs, centers, -half, half, eps1, max_nodes=cap)
+    monkeypatch.setattr("qfmax.maximizer._MAX_NODES", cap)
+    _branch_bound_max(alphas, coeffs, centers, -half, half, eps1)
     hard = [int(np.argmax(nodes))]
+    monkeypatch.setattr("qfmax.maximizer._MAX_NODES", cap - 1)
     with pytest.raises(RuntimeError, match="node cap"):
-        _branch_bound_max(
-            alphas, coeffs[hard], centers[hard], -half[hard], half[hard], eps1,
-            max_nodes=cap - 1,
-        )
+        _branch_bound_max(alphas, coeffs[hard], centers[hard], -half[hard], half[hard], eps1)
 
 
 _LAZY_TABLE_CASES = (

@@ -24,18 +24,11 @@ SIGMA3_HALF = 3 * math.sqrt(0.25 / TRIALS)  # 3 sigma at p = 1/2
 
 
 def test_params_validation():
-    SearchParams(lambda_=4 / 3)
-    with pytest.raises(ValueError):
-        SearchParams(lambda_=1.0)
-    with pytest.raises(ValueError):
-        SearchParams(lambda_=1.5)
     with pytest.raises(ValueError):
         SearchParams(budget_factor=0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             SearchParams(budget_factor=bad)
-        with pytest.raises(ValueError):
-            SearchParams(lambda_=bad)
     with pytest.raises(ValueError):
         SearchParams(boost_rounds=0)
 
@@ -106,14 +99,14 @@ def test_qsearch_no_marks_exhausts_budget_exactly():
     led = QueryLedger()
     pred = MarkPredicate(16, np.zeros(16, dtype=bool), led)
     rng = np.random.default_rng(3)
-    assert qsearch(pred, rng, SearchParams(), 50) is None
+    assert qsearch(pred, rng, 50) is None
     assert led.quantum_queries == 50
 
 
 def test_qsearch_all_marked_is_immediate():
     led = QueryLedger()
     pred = MarkPredicate(16, np.ones(16, dtype=bool), led)
-    idx = qsearch(pred, rng=np.random.default_rng(4), params=SearchParams(), max_queries=50)
+    idx = qsearch(pred, rng=np.random.default_rng(4), max_queries=50)
     assert idx is not None
     assert led.quantum_queries == 0
     assert led.classical_queries == 1
@@ -122,9 +115,9 @@ def test_qsearch_all_marked_is_immediate():
 def test_qsearch_single_element_space():
     led = QueryLedger()
     pred = MarkPredicate(1, np.ones(1, dtype=bool), led)
-    assert qsearch(pred, np.random.default_rng(0), SearchParams(), 10) == 0
+    assert qsearch(pred, np.random.default_rng(0), 10) == 0
     pred = MarkPredicate(1, np.zeros(1, dtype=bool), led)
-    assert qsearch(pred, np.random.default_rng(0), SearchParams(), 10) is None
+    assert qsearch(pred, np.random.default_rng(0), 10) is None
 
 
 def test_top_uniform_draws_the_largest_step_count():
@@ -167,7 +160,7 @@ def test_qsearch_past_one_block_charges_its_budget_and_repeats():
         led = QueryLedger()
         rng = _Blocks(11)
         pred = MarkPredicate(64, np.zeros(64, dtype=bool), led)
-        assert qsearch(pred, rng, SearchParams(), 300) is None
+        assert qsearch(pred, rng, 300) is None
         assert led.quantum_queries == 300
         attempts = led.classical_queries
         assert attempts > 32
@@ -181,7 +174,7 @@ def test_drawn_step_counts_are_uniform_below_the_cap():
     # m reaches its cap sqrt(49) = 7 after 15 failed attempts; from then on
     # j is uniform on {0, ..., 6}
     pred = _StepLog(49, np.zeros(49, dtype=bool))
-    assert qsearch(pred, np.random.default_rng(12), SearchParams(), 20_000) is None
+    assert qsearch(pred, np.random.default_rng(12), 20_000) is None
     # j of every attempt from the 16th on, leaving out the last, cut by the budget
     steps = np.diff([0] + pred.at_check)[15:-1]
     counts = np.bincount(steps, minlength=7)
@@ -200,7 +193,7 @@ def test_qsearch_returns_only_marked_indices():
         led = QueryLedger()
         pred = MarkPredicate(n, marks, led)
         budget = math.ceil(22.5 * math.sqrt(n))
-        idx = qsearch(pred, rng, SearchParams(), budget)
+        idx = qsearch(pred, rng, budget)
         assert led.quantum_queries <= budget
         if idx is not None:
             assert marks[idx]
@@ -216,7 +209,7 @@ def test_qsearch_finds_single_mark_reliably():
     for _ in range(TRIALS):
         target = int(rng.integers(0, n))
         pred = MarkPredicate(n, np.arange(n) == target)
-        if qsearch(pred, rng, SearchParams(), budget) == target:
+        if qsearch(pred, rng, budget) == target:
             hits += 1
     assert hits / TRIALS >= 0.95
 
@@ -237,7 +230,7 @@ def test_qsearch_query_scaling_single_mark():
             target = int(rng.integers(0, n))
             led = QueryLedger()
             pred = MarkPredicate(n, np.arange(n) == target, led)
-            assert qsearch(pred, rng, params, budget) == target
+            assert qsearch(pred, rng, budget) == target
             total += led.quantum_queries + led.classical_queries
         pts.append((n, total / trials))
     slope = fit_loglog_slope(pts)[0]
@@ -360,7 +353,6 @@ def _searches(draw):
     levels = draw(st.integers(1, 6))  # few distinct values, so ties are common
     values = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
     params = SearchParams(
-        lambda_=draw(st.floats(1.0, 4.0 / 3.0, exclude_min=True)),
         budget_factor=draw(st.floats(0.1, 30.0)),
         boost_rounds=draw(st.integers(1, 4)),
     )
