@@ -51,5 +51,5 @@ print(f"classical slope {slope_c:+.3f}  (theory {-D / (R + RHO):+.2f}, "
 print(f"exponent ratio  {slope_c / slope_q:.2f}  (quadratic speedup = 2)")
 
 # The same sweep is scriptable from the shell with CSV output:
-#   qfmax scaling --kind queries-vs-eps --d 1 --r 0 --rho 1 \
+#   qfmax holder-queries-vs-eps --d 1 --r 0 --rho 1 \
 #       --eps 0.2,0.1,0.05,0.02,0.01 --trials 5 --seed 50 --out scaling.csv

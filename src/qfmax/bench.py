@@ -5,9 +5,10 @@ Its descriptor's EXPERIMENTS entry runs the seeded trials of one point at
 a time, and each point becomes one CSV row aggregated over its trials.
 Each function group (one per bit pattern in or-reduction, one otherwise)
 then gets one summary row with the log-log slope fitted over the group's
-rows whose y is positive, on the (x, y) columns the entry names, which
-are also the --plot-out axes; with fewer than three such rows, or with
-all of them at one x, the group has no summary.  Trial generators are
+rows whose y is positive, on the (x, y) columns the entry names; with
+fewer than three such rows, or with all of them at one x, the group has
+no summary.  Each entry also names the spec fields its runner reads,
+and the command line offers exactly those as flags.  Trial generators are
 derived deterministically from (master_seed, point index, trial index),
 trials are run sequentially in a fixed order, and floats are formatted
 canonically, so identical specs produce byte identical files.
@@ -48,7 +49,6 @@ __all__ = [
     "trial_rng",
     "run_experiment",
     "write_csv",
-    "write_plot_data",
 ]
 
 CSV_COLUMNS = (
@@ -132,7 +132,9 @@ class ExperimentSpec:
 
     sizes holds per-point n values (sequence lengths, subdivisions per
     axis, or bit counts depending on the descriptor); eps_values holds
-    target accuracies for the accuracy-driven experiments.  function, read
+    target accuracies for the accuracy-driven experiments, each resolved
+    through choose_n when the spec is built, so a point past the grid cap
+    is refused before any trial runs.  function, read
     by the holder-* and baseline-* descriptors, must be in
     available_functions() for every descriptor.  patterns only applies to
     or-reduction: distinct names among zeros, one, random, ones.
@@ -156,6 +158,8 @@ class ExperimentSpec:
         if any(n > DEFAULT_MAX_CUBES for n in self.sizes):
             raise ValueError(f"sizes must be at most {DEFAULT_MAX_CUBES}, got {self.sizes}")
         _check_class(self.d, self.r, self.rho)
+        for eps in self.eps_values:
+            choose_n(eps, self.d, self.r, self.rho)
         names = set(self.patterns)
         if not names or len(names) < len(self.patterns) or not names <= _BIT_PATTERNS.keys():
             raise ValueError(
@@ -193,17 +197,6 @@ def write_csv(rows: list[dict], path) -> None:
         w.writerow(CSV_COLUMNS)
         for row in rows:
             w.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
-
-
-def write_plot_data(rows: list[dict], path, descriptor: str) -> None:
-    """Two-column whitespace-separated point data, gnuplot ready."""
-    _, xcol, ycol = EXPERIMENTS[descriptor]
-    with open(path, "w") as fh:
-        fh.write(f"# {xcol} {ycol}\n")
-        for row in rows:
-            if row.get(xcol) in (None, "") or row.get(ycol) in (None, ""):
-                continue
-            fh.write(f"{_fmt(row[xcol])} {_fmt(row[ycol])}\n")
 
 
 def _base_row(spec: ExperimentSpec) -> dict:
@@ -246,7 +239,7 @@ def _point_row(spec: ExperimentSpec, fields: dict, outcomes: list, columns) -> d
 
 def _summary_rows(spec: ExperimentSpec, rows: list[dict]) -> list[dict]:
     """One log-log fit per function group, over its rows with positive y."""
-    _, xcol, ycol = EXPERIMENTS[spec.descriptor]
+    _, xcol, ycol, _ = EXPERIMENTS[spec.descriptor]
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["function"], []).append(row)
@@ -344,29 +337,52 @@ def _or_reduction(spec: ExperimentSpec):
 
 
 class Experiment(NamedTuple):
-    """A descriptor's runner and the (x, y) columns it plots and fits."""
+    """A descriptor's runner, the (x, y) columns it fits, and the fields it reads.
+
+    reads names every ExperimentSpec field and SearchParams field the
+    runner reads, and no other.
+    """
 
     run: Callable[[ExperimentSpec], Iterator]
     x: str  # "n": the points are spec.sizes; "epsilon": spec.eps_values
     y: str
+    reads: tuple[str, ...]
 
+
+_TRIALS = ("trials", "master_seed")
+_SEARCH = ("budget_factor", "boost_rounds")
+_CLASS = ("function", "d", "r", "rho")
 
 EXPERIMENTS = {
-    "qsearch-scaling": Experiment(_qsearch_scaling, "n", "mean_quantum_queries"),
-    "maxfind-success": Experiment(_maxfind_success, "n", "mean_quantum_queries"),
-    "holder-error-vs-n": Experiment(_error_vs_n, "n", "error_quantile_theta25"),
-    "holder-queries-vs-eps": Experiment(_queries_vs_eps, "epsilon", "mean_quantum_queries"),
-    "baseline-queries-vs-eps": Experiment(_baseline_queries, "epsilon", "mean_classical_queries"),
-    "or-reduction": Experiment(_or_reduction, "n", "mean_quantum_queries"),
+    "qsearch-scaling": Experiment(
+        _qsearch_scaling, "n", "mean_quantum_queries", ("sizes", *_TRIALS, "budget_factor")
+    ),
+    "maxfind-success": Experiment(
+        _maxfind_success, "n", "mean_quantum_queries", ("sizes", *_TRIALS, *_SEARCH)
+    ),
+    "holder-error-vs-n": Experiment(
+        _error_vs_n, "n", "error_quantile_theta25", (*_CLASS, "sizes", *_TRIALS, *_SEARCH)
+    ),
+    "holder-queries-vs-eps": Experiment(
+        _queries_vs_eps, "epsilon", "mean_quantum_queries",
+        (*_CLASS, "eps_values", *_TRIALS, *_SEARCH),
+    ),
+    # one grid scan per point, of trial 0's instance: no trials, no search
+    "baseline-queries-vs-eps": Experiment(
+        _baseline_queries, "epsilon", "mean_classical_queries",
+        (*_CLASS, "eps_values", "master_seed"),
+    ),
+    "or-reduction": Experiment(
+        _or_reduction, "n", "mean_quantum_queries",
+        ("d", "r", "rho", "sizes", "patterns", *_TRIALS, *_SEARCH),
+    ),
 }
 
 
-def run_experiment(spec: ExperimentSpec, out_path=None, plot_path=None) -> list[dict]:
-    """Run one experiment; optionally write the CSV and plot data files."""
+def run_experiment(spec: ExperimentSpec, out_path=None) -> list[dict]:
+    """Run one experiment; optionally write its CSV file."""
     rows = [_point_row(spec, *point) for point in EXPERIMENTS[spec.descriptor].run(spec)]
     rows += _summary_rows(spec, rows)
     if out_path is not None:
         write_csv(rows, out_path)
-    if plot_path is not None:
-        write_plot_data(rows, plot_path, spec.descriptor)
     return rows

@@ -54,9 +54,9 @@ __all__ = [
 class MaximizerParams:
     """Configuration for quantum_maximize.
 
-    Either epsilon (target accuracy, resolved through choose_n with the
-    class's model-error constant default_h_conf) or n_override (explicit
-    subdivisions per axis) must be set.
+    Exactly one of epsilon (target accuracy, resolved through choose_n
+    with the class's model-error constant default_h_conf) and n_override
+    (explicit subdivisions per axis) must be set before a solve.
     """
 
     epsilon: float | None = None
@@ -64,6 +64,8 @@ class MaximizerParams:
     search: SearchParams = field(default_factory=SearchParams)
 
     def __post_init__(self) -> None:
+        if self.epsilon is not None and self.n_override is not None:
+            raise ValueError("set one of epsilon and n_override, not both")
         if self.n_override is not None:
             if not isinstance(self.n_override, numbers.Integral):
                 raise ValueError(f"n_override must be an integer, got {self.n_override!r}")

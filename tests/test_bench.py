@@ -1,5 +1,6 @@
 """Experiment harness: quantiles, slope fits, CSV reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from qfmax.bench import (
     run_experiment,
     trial_rng,
     write_csv,
-    write_plot_data,
 )
 from qfmax.search import SearchParams
 
@@ -112,6 +112,51 @@ def test_spec_refuses_bad_counts_and_class_parameters(fields, message):
         ExperimentSpec("holder-error-vs-n", **fields)
 
 
+@pytest.mark.parametrize(
+    "eps, message",
+    [(0.0, "epsilon must be positive and finite, got 0.0"), (1e-300, "beyond the cap")],
+)
+def test_spec_refuses_a_bad_eps_point_before_any_trial_runs(eps, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a trial ran before the eps points were checked")
+
+    monkeypatch.setattr("qfmax.bench.quantum_maximize", never)
+    spec = dict(d=2, eps_values=(0.02, eps), trials=100)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentSpec("holder-queries-vs-eps", **spec))
+
+
+# Off-default values for every field an experiment might read.
+_ELSEWHERE = {
+    "function": "cosprod", "d": 2, "r": 1, "rho": 0.5, "sizes": (16,), "eps_values": (0.05,),
+    "trials": 3, "master_seed": 5, "patterns": ("ones",), "budget_factor": 30.0,
+    "boost_rounds": 3,
+}
+_SEARCH_FIELDS = tuple(f.name for f in dataclasses.fields(SearchParams))
+_RESULTS = (
+    "n", "N", "epsilon", "success_rate", "mean_quantum_queries", "mean_classical_queries",
+    "mean_evaluations", "error_quantile_theta25",
+)
+
+
+@pytest.mark.parametrize("descriptor", EXPERIMENTS)
+def test_a_field_outside_reads_leaves_the_results_alone(descriptor):
+    # the command line offers exactly the fields in reads, so no other field may matter
+    spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"descriptor", "search"}
+    assert set(_ELSEWHERE) == spec_fields | set(_SEARCH_FIELDS)
+    reads = EXPERIMENTS[descriptor].reads
+    assert set(reads) <= set(_ELSEWHERE)
+    tiny = {"sizes": (4, 8), "eps_values": (0.2, 0.1), "trials": 2}
+    tiny = {name: value for name, value in tiny.items() if name in reads}
+    moved = {name: value for name, value in _ELSEWHERE.items() if name not in reads}
+    search = SearchParams(**{name: moved.pop(name) for name in _SEARCH_FIELDS if name in moved})
+    rows = run_experiment(ExperimentSpec(descriptor, **tiny))
+    moved_rows = run_experiment(ExperimentSpec(descriptor, **tiny, **moved, search=search))
+    assert [{col: row.get(col) for col in _RESULTS} for row in moved_rows] == [
+        {col: row.get(col) for col in _RESULTS} for row in rows
+    ]
+
+
 @pytest.mark.parametrize("descriptor", EXPERIMENTS)
 def test_every_descriptor_refuses_an_unknown_function(descriptor):
     points = {"sizes": (8,)} if EXPERIMENTS[descriptor].x == "n" else {"eps_values": (0.1,)}
@@ -200,19 +245,6 @@ def test_csv_byte_identical_reruns(tmp_path):
     run_experiment(spec, out_path=p1)
     run_experiment(spec, out_path=p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_plot_data_emission(tmp_path):
-    spec = ExperimentSpec("qsearch-scaling", sizes=(16, 64), trials=10, master_seed=3)
-    rows = run_experiment(spec)
-    path = tmp_path / "plot.dat"
-    write_plot_data(rows, path, "qsearch-scaling")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 3
-    x, y = lines[1].split()
-    assert float(x) == 16.0
-    assert float(y) > 0.0
 
 
 def test_descriptor_catalog_is_complete():

@@ -1,6 +1,8 @@
 """Command line behaviour: parsing, exit codes, outputs."""
 
 import argparse
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,37 +17,55 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-# The flags each subcommand reads, and so accepts (besides -h/--help).
+# The flags each subcommand reads, and so accepts (besides -h/--help): an
+# experiment's are the flags of its EXPERIMENTS reads, plus --out.
 FLAGS = {
-    "qsearch-bench": (
-        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out", "--n",
+    "qsearch-scaling": ("--n", "--trials", "--seed", "--budget-factor", "--out"),
+    "maxfind-success": (
+        "--n", "--trials", "--seed", "--budget-factor", "--boost-rounds", "--out",
     ),
-    "maxfind-bench": (
-        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out", "--n",
+    "holder-error-vs-n": (
+        "--function", "--d", "--r", "--rho", "--n",
+        "--trials", "--seed", "--budget-factor", "--boost-rounds", "--out",
+    ),
+    "holder-queries-vs-eps": (
+        "--function", "--d", "--r", "--rho", "--eps",
+        "--trials", "--seed", "--budget-factor", "--boost-rounds", "--out",
+    ),
+    "baseline-queries-vs-eps": ("--function", "--d", "--r", "--rho", "--eps", "--seed", "--out"),
+    "or-reduction": (
+        "--d", "--r", "--rho", "--n", "--patterns",
+        "--trials", "--seed", "--budget-factor", "--boost-rounds", "--out",
     ),
     "holder-max": (
         "--seed", "--boost-rounds", "--budget-factor",
         "--function", "--d", "--r", "--rho", "--n", "--eps",
     ),
-    "scaling": (
-        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out",
-        "--function", "--d", "--r", "--rho", "--kind", "--n", "--eps",
-    ),
-    "lowerbound-demo": (
-        "--seed", "--boost-rounds", "--budget-factor", "--trials", "--out", "--plot-out",
-        "--d", "--r", "--rho", "--n", "--patterns",
-    ),
     "list-functions": (),
 }
 
 
-def test_each_subcommand_accepts_exactly_its_flags():
+def _subparsers():
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_subcommand_accepts_exactly_its_flags():
     got = {
         command: {flag for flag in parser._option_string_actions if flag not in ("-h", "--help")}
-        for command, parser in sub.choices.items()
+        for command, parser in _subparsers().items()
     }
     assert got == {command: set(flags) for command, flags in FLAGS.items()}
+    # 48 flags over the six experiments
+    assert sum(len(FLAGS[descriptor]) for descriptor in EXPERIMENTS) == 48
+
+
+@pytest.mark.parametrize("descriptor", EXPERIMENTS)
+def test_experiment_flags_are_its_reads_plus_out(descriptor):
+    dests = {
+        action.dest for action in _subparsers()[descriptor]._actions if action.dest != "help"
+    }
+    assert dests == set(EXPERIMENTS[descriptor].reads) | {"out"}
 
 
 @pytest.mark.parametrize(
@@ -54,10 +74,18 @@ def test_each_subcommand_accepts_exactly_its_flags():
         (["holder-max", "--n", "8"], "trials", "5"),
         (["holder-max", "--n", "8"], "out", "x.csv"),
         (["holder-max", "--n", "8"], "plot-out", "x.dat"),
-        (["lowerbound-demo", "--n", "8", "--trials", "1"], "function", "cosprod"),
+        (["or-reduction", "--n", "8", "--trials", "1"], "function", "cosprod"),
         (["holder-max", "--eps", "0.1"], "h-conf", "1"),
-        (["qsearch-bench", "--n", "16", "--trials", "1"], "lambda", "1.2"),
-        (["maxfind-bench", "--n", "16", "--trials", "1"], "config", "x.cfg"),
+        (["qsearch-scaling", "--n", "16", "--trials", "1"], "lambda", "1.2"),
+        (["maxfind-success", "--n", "16", "--trials", "1"], "config", "x.cfg"),
+        # flags of fields the runner does not read
+        (["qsearch-scaling", "--n", "16", "--trials", "1"], "boost-rounds", "7"),
+        (["baseline-queries-vs-eps", "--eps", "0.1"], "trials", "5"),
+        (["baseline-queries-vs-eps", "--eps", "0.1"], "budget-factor", "30"),
+        (["baseline-queries-vs-eps", "--eps", "0.1"], "n", "8"),
+        (["holder-error-vs-n", "--n", "4", "--trials", "1"], "eps", "0.1"),
+        (["holder-queries-vs-eps", "--eps", "0.1", "--trials", "1"], "n", "8"),
+        (["maxfind-success", "--n", "16", "--trials", "1"], "plot-out", "x.dat"),
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_refused(
@@ -66,8 +94,25 @@ def test_flag_a_subcommand_does_not_read_is_refused(
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(argv + [f"--{flag}", value], capsys)
     assert (code, out) == (2, "")
-    assert err.endswith(f"qfmax: error: unrecognized arguments: --{flag} {value}\n")
+    assert err == f"qfmax: error: unrecognized arguments: --{flag} {value}\n"
     assert not any(tmp_path.iterdir())
+
+
+def _readme_commands():
+    """The argv of each qfmax line in README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qfmax ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_command_line_parses(argv):
+    build_parser().parse_args(argv)
+
+
+def test_readme_shows_every_experiment():
+    assert {argv[0] for argv in _readme_commands()} >= set(EXPERIMENTS)
 
 
 def test_list_functions(capsys):
@@ -106,20 +151,48 @@ def test_unknown_function_is_parameter_error(capsys):
 
 
 def test_bad_int_list_is_parameter_error(capsys):
-    code, _, err = run_cli(["qsearch-bench", "--n", "16,abc"], capsys)
+    code, _, err = run_cli(["qsearch-scaling", "--n", "16,abc"], capsys)
     assert code == 2
-    assert err
+    assert err == "qfmax: error: argument --n: expected comma separated int values, got '16,abc'\n"
 
 
 def test_unknown_subcommand_is_error(capsys):
-    code, _, _ = run_cli(["frobnicate"], capsys)
+    code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2
+    assert err.startswith("qfmax: error: argument command: invalid choice: 'frobnicate'")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["holder-max", "--d", "1.5", "--n", "4"], "argument --d: invalid int value: '1.5'"),
+        (["qsearch-scaling", "--n", "16,abc"], "argument --n: expected comma separated int"),
+        ([], "the following arguments are required: command"),
+        (["scaling", "--kind", "error-vs-n"], "argument command: invalid choice: 'scaling'"),
+        (["qsearch-bench"], "argument command: invalid choice: 'qsearch-bench'"),
+        (["maxfind-bench"], "argument command: invalid choice: 'maxfind-bench'"),
+        (["lowerbound-demo"], "argument command: invalid choice: 'lowerbound-demo'"),
+        (["holder-error-vs-n", "--kind", "error-vs-n"], "unrecognized arguments: --kind"),
+        (["or-reduction", "--patterns"], "argument --patterns: expected one argument"),
+    ],
+)
+def test_parse_error_is_one_line(argv, text, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qfmax: error: {text}")
+    assert err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    code, out, err = run_cli(["holder-queries-vs-eps", "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert "--eps" in out and "--kind" not in out
 
 
 def test_qsearch_bench_writes_csv(tmp_path, capsys):
     out_csv = tmp_path / "q.csv"
     args = [
-        "qsearch-bench", "--n", "16,64,256", "--trials", "15",
+        "qsearch-scaling", "--n", "16,64,256", "--trials", "15",
         "--seed", "4", "--out", str(out_csv),
     ]
     code, out, _ = run_cli(args, capsys)
@@ -130,34 +203,29 @@ def test_qsearch_bench_writes_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_scaling_kind_choices(tmp_path, capsys):
+def test_queries_vs_eps_slope_is_near_half(tmp_path, capsys):
     args = [
-        "scaling", "--kind", "queries-vs-eps", "--function", "peak",
+        "holder-queries-vs-eps", "--function", "peak",
         "--eps", "0.2,0.1,0.05", "--trials", "2", "--seed", "5",
     ]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert "slope=-0.5" in out or "slope=-0.4" in out
 
-    code, _, _ = run_cli(["scaling", "--kind", "sideways"], capsys)
-    assert code == 2
 
-
-def test_maxfind_bench_and_plot_data(tmp_path, capsys):
-    dat = tmp_path / "m.dat"
-    args = [
-        "maxfind-bench", "--n", "16,64", "--trials", "25", "--seed", "6",
-        "--plot-out", str(dat),
-    ]
+def test_maxfind_success_writes_only_its_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["maxfind-success", "--n", "16,64", "--trials", "25", "--seed", "6", "--out", "m.csv"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert "success_rate" in out
-    assert len(dat.read_text().splitlines()) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 3
 
 
 def test_lowerbound_demo(capsys):
     args = [
-        "lowerbound-demo", "--n", "8", "--trials", "6", "--seed", "7",
+        "or-reduction", "--n", "8", "--trials", "6", "--seed", "7",
         "--patterns", "one",
     ]
     code, out, _ = run_cli(args, capsys)
@@ -166,16 +234,18 @@ def test_lowerbound_demo(capsys):
 
 
 def test_abbreviated_flag_is_refused(capsys):
-    code, _, err = run_cli(["maxfind-bench", "--trial", "1"], capsys)
+    code, _, err = run_cli(["maxfind-success", "--trial", "1"], capsys)
     assert code == 2
-    assert "--trial" in err
+    assert err == "qfmax: error: unrecognized arguments: --trial 1\n"
 
 
 def test_scaling_without_kind_is_one_line_error(capsys):
+    # scaling is no subcommand: each experiment runs under its own name
     code, out, err = run_cli(["scaling", "--trials", "2", "--n", "4,8"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "qfmax: error: scaling needs --kind\n"
+    assert (code, out) == (2, "")
+    assert err.startswith("qfmax: error: argument command: invalid choice: 'scaling' (choose from")
+    assert err.count("\n") == 1
+    assert all(name in err for name in EXPERIMENTS)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
@@ -209,8 +279,8 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["maxfind-bench", "--n", "0", "--trials", "2"], "sizes"),
-        (["qsearch-bench", "--n", "0"], "sizes"),
+        (["maxfind-success", "--n", "0", "--trials", "2"], "sizes"),
+        (["qsearch-scaling", "--n", "0"], "sizes"),
         (["holder-max", "--d", "0", "--n", "4"], "d must"),
         (["holder-max", "--d", "-1", "--n", "3"], "d must"),
         (["holder-max", "--eps", "nan"], "epsilon"),
@@ -218,29 +288,29 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
         (["holder-max", "--n", "0"], "n_override must be positive"),
         (["holder-max", "--n", "4", "--boost-rounds", "0"], "boost_rounds must be at least 1"),
         (["holder-max", "--n", "4", "--budget-factor", "0"], "budget_factor must be positive"),
-        (["scaling", "--kind", "error-vs-n", "--n", "4,8", "--trials", "0"],
+        (["holder-error-vs-n", "--n", "4,8", "--trials", "0"],
          "trials must be a positive integer"),
         (["holder-max", "--n", "4", "--seed", "-1"], "seed"),
-        (["qsearch-bench", "--n", "16", "--trials", "2", "--seed", "-1"], "seed"),
-        (["lowerbound-demo", "--n", "8", "--patterns", ","], "patterns"),
-        (["lowerbound-demo", "--n", "8", "--trials", "2", "--patterns", "one,bogus"],
+        (["qsearch-scaling", "--n", "16", "--trials", "2", "--seed", "-1"], "seed"),
+        (["or-reduction", "--n", "8", "--patterns", ","], "patterns"),
+        (["or-reduction", "--n", "8", "--trials", "2", "--patterns", "one,bogus"],
          "patterns"),
-        (["lowerbound-demo", "--n", "8", "--trials", "2", "--patterns", "one,one"],
+        (["or-reduction", "--n", "8", "--trials", "2", "--patterns", "one,one"],
          "patterns"),
-        (["scaling", "--kind", "queries-vs-eps", "--rho", "0"], "rho must"),
-        (["scaling", "--kind", "baseline-queries-vs-eps", "--rho", "0"], "rho must"),
-        (["scaling", "--kind", "queries-vs-eps", "--r", "-1"], "r must"),
+        (["holder-queries-vs-eps", "--rho", "0"], "rho must"),
+        (["baseline-queries-vs-eps", "--rho", "0"], "rho must"),
+        (["holder-queries-vs-eps", "--r", "-1"], "r must"),
         (["holder-max", "--eps", "0.1", "--rho", "1e-300"], "epsilon"),
-        (["lowerbound-demo", "--n", "8", "--trials", "2", "--rho", "0.001"], "epsilon"),
-        (["qsearch-bench", "--n", "16777217", "--trials", "1"], "sizes"),
-        (["maxfind-bench", "--n", "16777217", "--trials", "1"], "sizes"),
+        (["or-reduction", "--n", "8", "--trials", "2", "--rho", "0.001"], "epsilon"),
+        (["qsearch-scaling", "--n", "16777217", "--trials", "1"], "sizes"),
+        (["maxfind-success", "--n", "16777217", "--trials", "1"], "sizes"),
         (["holder-max", "--n", "1", "--d", "65", "--r", "0", "--function", "cosprod"],
          "grid needs d <= 64"),
         (["holder-max", "--function", "bumpfamily", "--n", "2", "--r", "44"],
          "bump profile derivative of order 44"),
         (["holder-max", "--function", "bumpfamily", "--d", "2", "--r", "44", "--n", "1"],
          "bump profile derivative of order 44"),
-        (["lowerbound-demo", "--n", "4", "--r", "44", "--trials", "1"],
+        (["or-reduction", "--n", "4", "--r", "44", "--trials", "1"],
          "bump profile derivative of order 44"),
         (["holder-max", "--function", "cosprod", "--d", "1", "--r", "171", "--eps", "0.1"],
          "Taylor models need r <= 170"),
@@ -250,10 +320,17 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
          "epsilon 0.1 at r + rho = 301 needs a grid beyond the cap"),
         (["holder-max", "--function", "sin1d", "--r", "387", "--n", "2"], "sin1d needs r <= 386"),
         # the whole line, so numpy's own message (it names intp) cannot show
-        (["lowerbound-demo", "--d", "63", "--n", "2", "--trials", "1"],
+        (["or-reduction", "--d", "63", "--n", "2", "--trials", "1"],
          "grid of 2^63 cells has more cells than numpy can index\n"),
-        (["lowerbound-demo", "--d", "64", "--n", "2", "--trials", "1"],
+        (["or-reduction", "--d", "64", "--n", "2", "--trials", "1"],
          "grid of 2^64 cells has more cells than numpy can index\n"),
+        # n_override would win over epsilon, so the two are refused together
+        (["holder-max", "--function", "peak", "--n", "4", "--eps", "0.001"],
+         "set one of epsilon and n_override, not both"),
+        (["holder-queries-vs-eps", "--d", "2", "--eps", "0.02,0", "--trials", "100"],
+         "epsilon must be positive and finite, got 0.0"),
+        (["holder-queries-vs-eps", "--eps", "0.02,1e-300", "--trials", "100"],
+         "epsilon 1e-300 at r + rho = 1 needs a grid beyond the cap"),
     ],
 )
 def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):
@@ -278,7 +355,7 @@ def test_grid_cap_refusal_is_short(capsys):
          "qfmax: error: rho 1e-300 is too small"),
         (["holder-max", "--function", "bumpfamily", "--rho", "1e-300", "--n", "4"], 0,
          "function: bump[0] (d=1, r=0, rho=1e-300)"),
-        (["lowerbound-demo", "--rho", "1e-300"], 2, "qfmax: error: epsilon"),
+        (["or-reduction", "--rho", "1e-300"], 2, "qfmax: error: epsilon"),
     ],
 )
 def test_tiny_rho_is_not_taken_for_zero(argv, code, text, capsys):
@@ -289,7 +366,7 @@ def test_tiny_rho_is_not_taken_for_zero(argv, code, text, capsys):
         assert out == "" and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["qsearch-bench", "maxfind-bench"])
+@pytest.mark.parametrize("command", ["qsearch-scaling", "maxfind-success"])
 def test_size_one_point_still_gets_rows_and_a_summary(command, capsys):
     code, out, _ = run_cli([command, "--n", "1,16,64", "--trials", "3"], capsys)
     assert code == 0
@@ -302,7 +379,7 @@ def test_size_one_point_still_gets_rows_and_a_summary(command, capsys):
 
 def test_repeated_sizes_keep_their_rows(tmp_path, capsys):
     out_csv = tmp_path / "f.csv"
-    args = ["qsearch-bench", "--n", "64,64,64", "--trials", "2", "--out", str(out_csv)]
+    args = ["qsearch-scaling", "--n", "64,64,64", "--trials", "2", "--out", str(out_csv)]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert out.count("n=64") == 3
@@ -311,17 +388,15 @@ def test_repeated_sizes_keep_their_rows(tmp_path, capsys):
 
 
 def test_every_descriptor_has_exactly_one_cli_route(monkeypatch, capsys):
-    # Run every bench subcommand and every scaling --kind the parser offers,
-    # recording the descriptor each one asks the library to run.
+    # Run every subcommand the parser offers, recording the descriptor each
+    # one asks the library to run: each experiment runs under its own name.
     seen = []
     monkeypatch.setattr(
         "qfmax.cli.run_experiment", lambda spec, **_: seen.append(spec.descriptor) or []
     )
-    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for command, parser in sub.choices.items():
+    for command in _subparsers():
         if command in ("list-functions", "holder-max"):
             continue
-        kinds = [a.choices for a in parser._actions if a.dest == "kind"]
-        for argv in [[command, "--kind", k] for k in kinds[0]] if kinds else [[command]]:
-            assert run_cli(argv, capsys)[0] == 0
-    assert sorted(seen) == sorted(EXPERIMENTS)
+        assert run_cli([command], capsys)[0] == 0
+        assert seen[-1] == command
+    assert seen == list(EXPERIMENTS)

@@ -29,6 +29,14 @@ DELETED = (
     "read_config",
     "_parse",
     "DESCRIPTORS",
+    "write_plot_data",
+    "_BENCH_COMMANDS",
+    "_SCALING_KINDS",
+    "_add_search",
+    "_add_experiment",
+    "_add_class",
+    "_int_list",
+    "_float_list",
 )
 
 

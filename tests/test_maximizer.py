@@ -138,6 +138,12 @@ def test_params_require_target():
             MaximizerParams(n_override=n)
 
 
+def test_params_refuse_both_targets():
+    # n_override would win, leaving epsilon silently unused
+    with pytest.raises(ValueError, match="set one of epsilon and n_override, not both"):
+        MaximizerParams(epsilon=0.001, n_override=4)
+
+
 # ---------------------------------------------------------------------------
 # certified local maxima
 

@@ -175,7 +175,7 @@ def test_an_oversized_or_grid_is_refused_before_the_bumps_are_built(monkeypatch,
 
     monkeypatch.setattr(Grid, "centers", never)
     monkeypatch.setattr(reduction, "embed_bits", never)
-    argv = ["lowerbound-demo", "--n", str(2**24), "--trials", "1", "--patterns", "zeros"]
+    argv = ["or-reduction", "--n", str(2**24), "--trials", "1", "--patterns", "zeros"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
