@@ -33,7 +33,7 @@ import numpy as np
 
 from .baselines import grid_maximize
 from .functions import available_functions, make_function
-from .holder import DEFAULT_MAX_CUBES, _check_class
+from .holder import DEFAULT_MAX_CUBES, _check_class, build_grid
 from .maximizer import MaximizerParams, _error_bound, choose_n, quantum_maximize
 from .qcore import MarkPredicate, QueryLedger
 from .reduction import or_trial
@@ -134,8 +134,9 @@ class ExperimentSpec:
     axis, or bit counts depending on the descriptor); eps_values holds
     target accuracies for the accuracy-driven experiments, each resolved
     through choose_n when the spec is built, so a point past the grid cap
-    is refused before any trial runs.  function, read
-    by the holder-* and baseline-* descriptors, must be in
+    is refused before any trial runs; holder-error-vs-n, whose sizes are
+    grid sizes, refuses an n^d past the cap before its first trial.
+    function, read by the holder-* and baseline-* descriptors, must be in
     available_functions() for every descriptor.  patterns only applies to
     or-reduction: distinct names among zeros, one, random, ones.
     """
@@ -299,8 +300,10 @@ def _maximize_trials(spec: ExperimentSpec, p: int, n: int) -> list:
 
 
 def _error_vs_n(spec: ExperimentSpec):
-    for p, n in enumerate(spec.sizes):
-        yield {"n": n, "N": n**spec.d}, _maximize_trials(spec, p, n), _MAXIMIZER_COLUMNS
+    # each n is a grid size here, so every n^d past the cap is refused before any trial
+    grids = [build_grid(n, spec.d) for n in spec.sizes]
+    for p, grid in enumerate(grids):
+        yield {"n": grid.n, "N": grid.N}, _maximize_trials(spec, p, grid.n), _MAXIMIZER_COLUMNS
 
 
 def _queries_vs_eps(spec: ExperimentSpec):

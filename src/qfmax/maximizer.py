@@ -122,6 +122,10 @@ def choose_n(epsilon: float, d: int, r: int, rho: float) -> int:
 # branch-and-bound, bounding each partial by eval_taylor of its |c| tableau,
 # for all rows of a batch in one frontier that splits every unfinished row's
 # best box per pass and is rebuilt from the boxes still open, oldest first.
+# Before a box is bounded, the monotonicity test (Hansen 1992) collapses each
+# axis on which the partial keeps its sign to the face it points to, and each
+# axis the model does not depend on to its midpoint, so a collapsed axis adds
+# no slack and is never split.
 
 
 def _quad_box_max_1d(c0, c1, c2, half):
@@ -168,14 +172,18 @@ def _quad_box_max_2d(C, half):
 def _gradient_terms(alphas, d: int):
     """The tableau of each partial derivative d p / d t_k, built once per alphas.
 
-    Returns (cols, scale, parts).  Entry k of parts is (start, stop,
-    lowered): columns start:stop of coeffs[:, cols] * scale hold alpha[k]
-    times the coefficient of each alpha with alpha[k] > 0, and lowered
-    lists their monomials, alpha with alpha[k] lowered by one.  cols and
-    scale are read-only, since every call with these alphas shares them.
+    Returns (cols, scale, parts, units).  Entry k of parts is (start,
+    stop, lowered): columns start:stop of coeffs[:, cols] * scale hold
+    alpha[k] times the coefficient of each alpha with alpha[k] > 0, and
+    lowered lists their monomials, alpha with alpha[k] lowered by one.
+    units[k] is the column of coeffs that holds the monomial e_k, the
+    partial's constant term, or -1 if alphas lacks it.  The arrays are
+    read-only, since every call with these alphas shares them.
     """
-    cols, scale, parts = [], [], []
+    cols, scale, parts, units = [], [], [], []
     for k in range(d):
+        unit = tuple(int(j == k) for j in range(d))
+        units.append(alphas.index(unit) if unit in alphas else -1)
         start, lowered = len(cols), []
         for j, alpha in enumerate(alphas):
             if alpha[k]:
@@ -183,27 +191,42 @@ def _gradient_terms(alphas, d: int):
                 scale.append(float(alpha[k]))
                 lowered.append(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :])
         parts.append((start, len(cols), tuple(lowered)))
-    cols, scale = np.array(cols, dtype=np.intp), np.array(scale)
-    cols.flags.writeable = scale.flags.writeable = False
-    return cols, scale, tuple(parts)
+    cols, scale, units = np.array(cols, dtype=np.intp), np.array(scale), np.array(units)
+    cols.flags.writeable = scale.flags.writeable = units.flags.writeable = False
+    return cols, scale, tuple(parts), units
 
 
-def _box_bounds(alphas, parts, coeffs, terms, lo, hi):
-    """Midpoint value and upper bound of each row's model over its offset box.
+def _box_bounds(alphas, parts, coeffs, terms, grad, lo, hi):
+    """Value and upper bound of each row's model over its offset box, after collapsing it.
 
-    parts comes from _gradient_terms and terms holds the rows' |c| of its
-    columns.  Both go through eval_taylor: the value is the model at the
-    box midpoint, and the bound adds, per axis k, a sup of |d p / d t_k|
-    (the partial's |c| tableau at m, the largest |offset|) times the half width.
+    parts comes from _gradient_terms, terms holds the rows' |c| of its
+    columns and grad the rows' gradient at the center, the partials'
+    constant terms (0 where alphas lacks e_k).  S_k, eval_taylor of
+    axis k's |c| tableau at m, the box's largest |offset|, is a sup of
+    |d p / d t_k| on the box.  The monotonicity test collapses each axis
+    along which the max over the box is known: S_k holds |grad_k|, so
+    where 2 |grad_k| > S_k the rest of the partial is smaller, it keeps
+    the sign of grad_k, and axis k goes to the face the gradient points
+    to; where S_k == 0 the model does not depend on t_k and the axis goes
+    to its midpoint.  Every S_k is taken on the box as given.  The value
+    is the model at the collapsed box's midpoint, and the bound adds, in
+    axis order, S_k times the half width of each axis left free.  Returns
+    (value, bound, lo, hi), the last two the collapsed box.  Like the
+    bound, the test compares the float sums as they come and takes no
+    account of their rounding.
     """
-    mid = 0.5 * (lo + hi)
     m = np.maximum(np.abs(lo), np.abs(hi))
-    width = hi - lo
-    val = eval_taylor(alphas, coeffs, mid)
+    sup = np.stack([eval_taylor(low, terms[:, a:b], m) for a, b, low in parts], axis=1)
+    fixed = 2.0 * np.abs(grad) > sup
+    to = np.where(fixed, np.where(grad > 0.0, hi, lo), 0.5 * (lo + hi))
+    free = ~fixed & (sup != 0.0)
+    lo, hi = np.where(free, lo, to), np.where(free, hi, to)
+    gaps = sup * 0.5 * (hi - lo)
+    val = eval_taylor(alphas, coeffs, 0.5 * (lo + hi))
     slack = np.zeros(m.shape[0])
-    for k, (start, stop, lowered) in enumerate(parts):
-        slack += eval_taylor(lowered, terms[:, start:stop], m) * 0.5 * width[:, k]
-    return val, val + slack
+    for k in range(m.shape[1]):
+        slack += gaps[:, k]
+    return val, val + slack, lo, hi
 
 
 # Splits one row of _branch_bound_max may take before the run is refused.
@@ -217,6 +240,9 @@ def _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> n
     largest upper bound (oldest first on ties), stop once that bound is
     within eps1 of the incumbent, else split it along its longest axis
     and keep each half whose bound still clears the incumbent by eps1.
+    Each box is stored as _box_bounds collapsed it, so the longest-axis
+    rule never splits a collapsed axis: it has width 0, and a box with
+    every axis collapsed is a point whose bound is its value, so it stops.
     The open boxes of all rows share one frontier and every unstopped row
     takes one such step per pass, so the numpy work is batched across
     rows while each row's sequence of steps is its own.  More than
@@ -224,12 +250,16 @@ def _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> n
     centers[i] + [lo_off, hi_off], the offsets broadcast against centers.
     """
     rows, d = centers.shape
-    cols, scale, parts = _gradient_terms(alphas, d)
-    terms = np.abs(coeffs[:, cols] * scale)
+    cols, scale, parts, units = _gradient_terms(alphas, d)
+    # built in place: each fresh temporary of this size can cost page faults
+    terms = coeffs[:, cols]
+    terms *= scale
+    np.abs(terms, out=terms)
+    grad = np.where(units >= 0, coeffs[:, units], 0.0)
     # the box as the centers' float rounding sees it, never the exact offsets
     lo = (centers + lo_off) - centers
     hi = (centers + hi_off) - centers
-    best, ub = _box_bounds(alphas, parts, coeffs, terms, lo, hi)
+    best, ub, lo, hi = _box_bounds(alphas, parts, coeffs, terms, grad, lo, hi)
     ub_final = np.zeros(rows)
     nodes = np.zeros(rows, dtype=np.int64)
     stopped = np.zeros(rows, dtype=bool)
@@ -270,7 +300,9 @@ def _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1: float) -> n
         lo2[pick, axis] = mid
         clo, chi = np.concatenate([blo, lo2]), np.concatenate([hi1, bhi])
         crow = np.concatenate([tc, tc])
-        val, cub = _box_bounds(alphas, parts, coeffs[crow], terms[crow], clo, chi)
+        val, cub, clo, chi = _box_bounds(
+            alphas, parts, coeffs[crow], terms[crow], grad[crow], clo, chi
+        )
         # the incumbent takes the low half's value before the high half is tested
         b0 = best[tc]
         b1 = np.where(val[: tc.size] > b0, val[: tc.size], b0)
@@ -301,7 +333,9 @@ def _box_max(alphas, coeffs, centers, half: float, eps1: float) -> np.ndarray:
     coefficients by position.  Degree <= 1, or degree 2 in d <= 2, use the
     closed forms; all other rows are certified together by one batched
     branch-and-bound frontier (_branch_bound_max), whose per-row results
-    equal those of a per-model heap bit for bit.
+    equal those of a per-model heap bit for bit.  There the monotonicity
+    test never splits an axis along which the partial keeps its sign or
+    vanishes, so a corner maximum needs no split at all.
     """
     d = centers.shape[1]
     deg = sum(alphas[-1])  # canonical order ends with the degree on axis 0

@@ -8,6 +8,7 @@ import pytest
 
 from qfmax.bench import EXPERIMENTS
 from qfmax.cli import build_parser, main
+from qfmax.holder import DEFAULT_MAX_CUBES
 from qfmax.search import DEFAULT_MAX_QUANTUM_QUERIES
 
 
@@ -339,6 +340,22 @@ def test_bad_size_or_accuracy_is_one_line_parameter_error(argv, names, capsys):
     assert out == ""
     assert err.startswith(f"qfmax: error: {names}")
     assert err.count("\n") == 1
+
+
+def test_error_vs_n_refuses_a_grid_past_the_cap_before_any_trial(monkeypatch, capsys):
+    # holder-error-vs-n's sizes are subdivisions per axis: 5000^2 cubes are
+    # past the cap, and the refusal comes before the n = 16 point's trials
+    trials = []
+
+    def trial(*args):
+        trials.append(args)
+        raise RuntimeError("a trial ran")
+
+    monkeypatch.setattr("qfmax.bench.quantum_maximize", trial)
+    argv = ["holder-error-vs-n", "--d", "2", "--n", "16,5000", "--trials", "200"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, trials) == (2, "", [])
+    assert err == f"qfmax: error: grid of 5000^2 cubes exceeds the cap of {DEFAULT_MAX_CUBES}\n"
 
 
 def test_grid_cap_refusal_is_short(capsys):

@@ -234,6 +234,77 @@ def test_quadratic_2d_degenerate_cases(case):
     assert got == pytest.approx(bb, abs=1e-5)
 
 
+def _concave_quadratic_3d(stationary):
+    """0.2 - sum_k a_k (t_k - s_k)^2 plus small cross terms, as multi_indices(3, 2) coefficients."""
+    coef = {(0, 0, 0): 0.2, (1, 1, 0): 0.1, (0, 1, 1): -0.15, (1, 0, 1): 0.05}
+    for k, (a, s) in enumerate(zip((1.0, 1.5, 0.8), stationary)):
+        unit = tuple(int(j == k) for j in range(3))
+        coef[(0, 0, 0)] -= a * s * s
+        coef[unit] = 2.0 * a * s
+        coef[tuple(2 * e for e in unit)] = -a
+    return np.array([coef.get(alpha, 0.0) for alpha in multi_indices(3, 2)])
+
+
+@pytest.mark.parametrize(
+    "stationary,faces",
+    [((0.03, -0.05, 0.02), 0), ((0.5, -0.4, 0.01), 2), ((0.5, -0.4, 0.6), 3)],
+    ids=["interior", "edge", "corner"],
+)
+def test_d3_quadratic_max_vs_dense_grid(stationary, faces, monkeypatch):
+    # degree 2 in d = 3 runs branch-and-bound, where the monotonicity test
+    # sends each axis whose partial keeps its sign to a face of the box
+    alphas, coeffs = multi_indices(3, 2), _concave_quadratic_3d(stationary)
+    center, half, eps1 = np.array([0.3, 0.6, 0.45]), 0.1, 1e-2
+    axis = np.linspace(-half, half, 81)
+    mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    vals = eval_taylor(alphas, coeffs, mesh)
+    # the dense grid's best point has that many coordinates on a face
+    assert np.sum(np.abs(mesh[np.argmax(vals)]) == half) == faces
+    if faces == 3:
+        # every partial keeps its sign on the cell: the root box settles it
+        monkeypatch.setattr("qfmax.maximizer._MAX_NODES", 0)
+    got = box_max(alphas, coeffs, center, half, eps1)
+    assert vals.max() - eps1 <= got <= vals.max() + eps1
+
+
+@pytest.mark.parametrize("y_linear", [0.5, 0.05])
+def test_axis_the_model_ignores_is_never_split(y_linear, monkeypatch):
+    # 0.1 + b y - 2 y^3 on a 0.4-wide square has no x term, so the bound
+    # on d p / d x is 0 and x collapses to its midpoint.  At b = 0.5 the
+    # model rises along y on the whole cell and the root box settles it;
+    # at b = 0.05 its maximum is interior in y, and it splits exactly as
+    # its 1-D restriction does, never along x
+    alphas = ((0, 0), (0, 1), (0, 3))
+    coeffs = np.array([0.1, y_linear, -2.0])
+    center, half = np.array([0.5, 0.5]), np.full(2, 0.2)
+    for eps1 in (1e-2, 1e-3, 3e-4, 1e-4):
+        want, nodes = reference_branch_bound(alphas, coeffs, center, -half, half, eps1)
+        got = _branch_bound_max(alphas, coeffs[None], center[None], -half, half, eps1)[0]
+        assert got.tobytes() == np.float64(want).tobytes()
+        alone, alone_nodes = reference_branch_bound(
+            ((0,), (1,), (3,)), coeffs, center[1:], -half[1:], half[1:], eps1
+        )
+        assert (want, nodes) == (alone, alone_nodes)
+        if y_linear == 0.5:
+            assert nodes == 0
+            assert want == pytest.approx(0.1 + 0.5 * 0.2 - 2.0 * 0.2**3, abs=1e-15)
+            monkeypatch.setattr("qfmax.maximizer._MAX_NODES", 0)
+            _branch_bound_max(alphas, coeffs[None], center[None], -half, half, eps1)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name,cap", [("cosprod", 0), ("peak", 4)])
+def test_d3_r2_grid_certifies_within_a_few_splits(name, cap, monkeypatch):
+    # the grid of the cosprod-d3-r2 benchmark (n = 13, eps1 = 13^-3) on one
+    # of its instances: every cosprod cell settles at its root box, and no
+    # peak cell splits more than 4 times; a centered bound alone needs 2
+    # and over 100 splits in the worst cells
+    f = make_function(name, 3, 2, 1.0, rng=trial_rng(1, 0, 0))
+    grid = build_grid(13, 3)
+    monkeypatch.setattr("qfmax.maximizer._MAX_NODES", cap)
+    assert local_max_at(f, grid, grid.centers()).shape == (grid.N,)
+
+
 # ---------------------------------------------------------------------------
 # the batched branch-and-bound frontier against a per-model heap
 
@@ -244,21 +315,27 @@ def reference_branch_bound(alphas, coeffs, center, lo_off, hi_off, eps1, max_nod
     The batched frontier must reproduce it bit for bit, so its float
     operations are the ones the frontier copies: offsets are
     (center + lo_off) - center, polynomial terms are added one by one,
-    slack is summed over axes in order, and every power, in the value
+    every axis's gradient bound is taken on the box as given, then the
+    monotonicity test collapses axes in order (to the face the gradient
+    points to where 2 |c_{e_k}| exceeds the bound, to the midpoint where
+    the bound is 0), slack is summed over axes in order and the value is
+    taken at the collapsed box's midpoint, and every power, in the value
     and in the gradient bound, is numpy's array power on a one-element
     slice.
     """
     d = center.size
 
     def partial(k):
-        out_a, out_c = [], []
+        out_a, out_c, unit = [], [], 0.0
         for alpha, c in zip(alphas, coeffs):
             if alpha[k]:
                 beta = list(alpha)
                 beta[k] -= 1
                 out_a.append(beta)
                 out_c.append(c * alpha[k])
-        return out_a, out_c
+                if sum(alpha) == 1:
+                    unit = c
+        return out_a, out_c, unit
 
     partials = [partial(k) for k in range(d)]
 
@@ -284,16 +361,21 @@ def reference_branch_bound(alphas, coeffs, center, lo_off, hi_off, eps1, max_nod
         return float(acc[0])
 
     def box_bounds(lo, hi):
-        mid = 0.5 * (lo + hi)
-        val = value_at(mid[None, :])
+        sups = [abs_bound(pa, pc, lo, hi) for pa, pc, _ in partials]
+        lo, hi = lo.copy(), hi.copy()
         slack = 0.0
-        for k in range(d):
-            slack += abs_bound(*partials[k], lo, hi) * 0.5 * (hi[k] - lo[k])
-        return val, val + slack
+        for k, (sup, (_, _, g)) in enumerate(zip(sups, partials)):
+            if 2.0 * abs(g) > sup:
+                lo[k] = hi[k] = hi[k] if g > 0.0 else lo[k]
+            elif sup == 0.0:
+                lo[k] = hi[k] = 0.5 * (lo[k] + hi[k])
+            slack += sup * 0.5 * (hi[k] - lo[k])
+        val = value_at((0.5 * (lo + hi))[None, :])
+        return val, val + slack, lo, hi
 
     lo0 = (center + lo_off) - center
     hi0 = (center + hi_off) - center
-    best, ub0 = box_bounds(lo0, hi0)
+    best, ub0, lo0, hi0 = box_bounds(lo0, hi0)
     heap = [(-ub0, 0, lo0, hi0)]
     counter = itertools.count(1)
     nodes = 0
@@ -311,7 +393,7 @@ def reference_branch_bound(alphas, coeffs, center, lo_off, hi_off, eps1, max_nod
         low_hi, high_lo = bhi.copy(), blo.copy()
         low_hi[axis] = high_lo[axis] = mid
         for child_lo, child_hi in ((blo, low_hi), (high_lo, bhi)):
-            val, cub = box_bounds(child_lo, child_hi)
+            val, cub, child_lo, child_hi = box_bounds(child_lo, child_hi)
             if val > best:
                 best = val
             if cub - best > eps1:
@@ -354,10 +436,10 @@ def test_gradient_tableaux_match_central_differences(d, degree):
     alphas = multi_indices(d, degree)
     coeffs = rng.normal(size=(30, len(alphas)))
     x = rng.uniform(-1.0, 1.0, size=(30, d))
-    cols, scale, parts = _gradient_terms(alphas, d)
-    assert len(parts) == d
+    cols, scale, parts, units = _gradient_terms(alphas, d)
+    assert len(parts) == len(units) == d
     h = 1e-5
-    for k, (start, stop, lowered) in enumerate(parts):
+    for k, ((start, stop, lowered), unit) in enumerate(zip(parts, units)):
         step = np.zeros(d)
         step[k] = h
         fd = (eval_taylor(alphas, coeffs, x + step) - eval_taylor(alphas, coeffs, x - step)) / (
@@ -365,6 +447,10 @@ def test_gradient_tableaux_match_central_differences(d, degree):
         )
         terms = coeffs[:, cols[start:stop]] * scale[start:stop]
         np.testing.assert_allclose(eval_taylor(lowered, terms, x), fd, rtol=1e-6, atol=1e-6)
+        # unit is the column of the partial's constant term, its value at 0
+        at_zero = eval_taylor(lowered, terms, np.zeros((30, d)))
+        assert (unit == -1) == (degree == 0)
+        np.testing.assert_array_equal(at_zero, 0.0 if unit == -1 else coeffs[:, unit])
 
 
 
@@ -403,15 +489,20 @@ def test_root_box_bound_matches_per_model_heap_bitwise(d, degree):
 
 def test_large_frontier_matches_per_model_heap_bitwise():
     # 120 rows of degree 4 in d=3 share one frontier; they stop after
-    # anywhere from 0 to a few hundred splits, so the frontier is rebuilt
-    # many times while some rows are gone and others keep splitting
+    # anywhere from 0 to a thousand splits, so the frontier is rebuilt
+    # many times while some rows are gone and others keep splitting.  About
+    # a third of the rows have no linear terms, so their critical point is
+    # the center, where no axis keeps its gradient's sign, and about a third
+    # have weak ones
     rng = np.random.default_rng(0)
     alphas = multi_indices(3, 4)
-    rows, eps1 = 120, 1e-4
+    rows, eps1 = 120, 3e-4
     coeffs = rng.normal(size=(rows, len(alphas))) * rng.choice([1e-3, 0.1, 1.0], size=(rows, 1))
     centers = rng.random((rows, 3))
     lo_off = -rng.uniform(0.0, 0.05, size=(rows, 3))
     hi_off = rng.uniform(0.0, 0.05, size=(rows, 3))
+    linear = [j for j, alpha in enumerate(alphas) if sum(alpha) == 1]
+    coeffs[:, linear] *= rng.choice([0.0, 0.1, 1.0], size=(rows, 1))
     got = _branch_bound_max(alphas, coeffs, centers, lo_off, hi_off, eps1)
     nodes = []
     for i in range(rows):
@@ -470,6 +561,10 @@ def test_node_cap_applies_per_row(monkeypatch):
     coeffs = rng.normal(size=(rows, len(alphas)))
     centers = rng.random((rows, 2))
     half = np.full((rows, 2), 0.1)
+    # half the rows have no linear terms, a critical point at the center,
+    # so the monotonicity test cannot settle them and they split
+    linear = [j for j, alpha in enumerate(alphas) if sum(alpha) == 1]
+    coeffs[:, linear] *= rng.choice([0.0, 1.0], size=(rows, 1))
     eps1 = 1e-3
     nodes = [
         reference_branch_bound(alphas, coeffs[i], centers[i], -half[i], half[i], eps1)[1]

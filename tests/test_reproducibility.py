@@ -65,7 +65,7 @@ from qfmax.functions import make_function
 
 GOLDEN = {
     "peak-d2": "f83050eb04036c3b1ada55055434a0a72ef8b71992ae4841674eac43dcc7ffe7",
-    "cosprod-d3": "1df22a26ad6e55e39eab8624a877e45a518427d50d99022e85f3f255de4573d2",
+    "cosprod-d3": "ae6ec737837647a91274e897dac96b748d7437b323f0d4bd96624fe708e9ab0f",
     "find-maximum": "4d1bd17299542f451354464494f983f5e268551e4eebeda1305f08d29eac5c0c",
     "or-64": "cdc01b90ce50c3fd77cbb73e70b44b3bcb46b9b08be79eba27514998515493b6",
     "bench": "c13e4439491bdd82246e0020720a328d86fc15a200e29fbbe746fa92344b2927",
