@@ -240,13 +240,13 @@ def _point_row(spec: ExperimentSpec, fields: dict, outcomes: list, columns) -> d
 
 def _summary_rows(spec: ExperimentSpec, rows: list[dict]) -> list[dict]:
     """One log-log fit per function group, over its rows with positive y."""
-    _, xcol, ycol, _ = EXPERIMENTS[spec.descriptor]
+    entry = EXPERIMENTS[spec.descriptor]
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["function"], []).append(row)
     summaries = []
     for function, group in groups.items():
-        points = [(row[xcol], row[ycol]) for row in group if row[ycol] > 0.0]
+        points = [(row[entry.x], row[entry.y]) for row in group if row[entry.y] > 0.0]
         if len(points) >= 3 and len({x for x, _ in points}) >= 2:
             slope, intercept, r2 = fit_loglog_slope(points)
             summary = {**_base_row(spec), "function": function, "trials": group[0]["trials"]}
@@ -327,57 +327,65 @@ def _baseline_queries(spec: ExperimentSpec):
 
 
 def _or_reduction(spec: ExperimentSpec):
-    params = MaximizerParams(search=spec.search)
     for pi, pattern in enumerate(spec.patterns):
         for p, size in enumerate(spec.sizes):
             outcomes = []
             for t in range(spec.trials):
                 rng = trial_rng(spec.master_seed, pi, p, t)
                 bits = _BIT_PATTERNS[pattern](size, rng)
-                bit, res, _ = or_trial(bits, None, params, rng, d=spec.d, r=spec.r, rho=spec.rho)
+                bit, res, _ = or_trial(bits, None, spec.search, rng, spec.d, spec.r, spec.rho)
                 outcomes.append((res.ledger, bit == int(bits.max()), None))
             yield {"function": f"bits-{pattern}", "n": size}, outcomes, _QUANTUM_CLASSICAL
 
 
 class Experiment(NamedTuple):
-    """A descriptor's runner, the (x, y) columns it fits, and the fields it reads.
+    """A descriptor's runner, fitted (x, y) columns, read fields, help line and default points.
 
     reads names every ExperimentSpec field and SearchParams field the
-    runner reads, and no other.
+    runner reads, and no other; points is the default --n or --eps list.
     """
 
     run: Callable[[ExperimentSpec], Iterator]
     x: str  # "n": the points are spec.sizes; "epsilon": spec.eps_values
     y: str
     reads: tuple[str, ...]
+    help: str
+    points: tuple
 
 
 _TRIALS = ("trials", "master_seed")
 _SEARCH = ("budget_factor", "boost_rounds")
 _CLASS = ("function", "d", "r", "rho")
+_EPS = (0.2, 0.1, 0.05, 0.02, 0.01)
 
 EXPERIMENTS = {
     "qsearch-scaling": Experiment(
-        _qsearch_scaling, "n", "mean_quantum_queries", ("sizes", *_TRIALS, "budget_factor")
+        _qsearch_scaling, "n", "mean_quantum_queries", ("sizes", *_TRIALS, "budget_factor"),
+        "query scaling of the amplified search", tuple(2**k for k in range(4, 13)),
     ),
     "maxfind-success": Experiment(
-        _maxfind_success, "n", "mean_quantum_queries", ("sizes", *_TRIALS, *_SEARCH)
+        _maxfind_success, "n", "mean_quantum_queries", ("sizes", *_TRIALS, *_SEARCH),
+        "success rate of sequence maximum finding", (16, 64, 256, 1024),
     ),
     "holder-error-vs-n": Experiment(
-        _error_vs_n, "n", "error_quantile_theta25", (*_CLASS, "sizes", *_TRIALS, *_SEARCH)
+        _error_vs_n, "n", "error_quantile_theta25", (*_CLASS, "sizes", *_TRIALS, *_SEARCH),
+        "error quantile of the maximizer against n", (4, 8, 16, 32, 64),
     ),
     "holder-queries-vs-eps": Experiment(
         _queries_vs_eps, "epsilon", "mean_quantum_queries",
         (*_CLASS, "eps_values", *_TRIALS, *_SEARCH),
+        "quantum queries of the maximizer against epsilon", _EPS,
     ),
     # one grid scan per point, of trial 0's instance: no trials, no search
     "baseline-queries-vs-eps": Experiment(
         _baseline_queries, "epsilon", "mean_classical_queries",
         (*_CLASS, "eps_values", "master_seed"),
+        "classical queries of a grid scan against epsilon", _EPS,
     ),
     "or-reduction": Experiment(
         _or_reduction, "n", "mean_quantum_queries",
         ("d", "r", "rho", "sizes", "patterns", *_TRIALS, *_SEARCH),
+        "OR-of-bits decision via the maximizer", (64,),
     ),
 }
 

@@ -51,20 +51,6 @@ _FLAGS = {
     "boost_rounds": ("--boost-rounds", int, "search rounds, best value kept"),
 }
 
-_EPS = (0.2, 0.1, 0.05, 0.02, 0.01)
-
-# Each experiment's help line and default points (its --n or --eps).
-_COMMANDS = {
-    "qsearch-scaling": (
-        "query scaling of the amplified search", tuple(2**k for k in range(4, 13))
-    ),
-    "maxfind-success": ("success rate of sequence maximum finding", (16, 64, 256, 1024)),
-    "holder-error-vs-n": ("error quantile of the maximizer against n", (4, 8, 16, 32, 64)),
-    "holder-queries-vs-eps": ("quantum queries of the maximizer against epsilon", _EPS),
-    "baseline-queries-vs-eps": ("classical queries of a grid scan against epsilon", _EPS),
-    "or-reduction": ("OR-of-bits decision via the maximizer", (64,)),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Flags spelled in full only, and a parse error raised for main to report on one line."""
@@ -90,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for descriptor, experiment in EXPERIMENTS.items():
-        help_line, points = _COMMANDS[descriptor]
-        p = sub.add_parser(descriptor, help=help_line)
+        p = sub.add_parser(descriptor, help=experiment.help)
         _add_flags(p, experiment.reads)
         p.add_argument("--out", help="CSV output path (default: stdout summary only)")
-        p.set_defaults(**{"sizes" if experiment.x == "n" else "eps_values": points})
+        p.set_defaults(**{"sizes" if experiment.x == "n" else "eps_values": experiment.points})
 
     p = sub.add_parser("holder-max", help="maximize one function instance and print the result")
     _add_flags(p, ("function", "d", "r", "rho", "master_seed", *_SEARCH_FIELDS))

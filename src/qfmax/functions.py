@@ -17,18 +17,22 @@ peak        M0 - b * ||t - c||_2^(r+rho), the critical-smoothness peak:
             it lies in C^r, its order-r derivatives are exactly rho-Holder
             and no smoother, so model errors genuinely scale like
             (1/n)^(r+rho).  Supported for r <= 2.
-bumpfamily  a single centered compactly supported bump at the largest
-            class-conforming height.
+bumpfamily  reduction.embed_bits of one set bit: a single centered compactly
+            supported bump at the largest class-conforming height.
+
+Every function's name is its registry key.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from .holder import HolderFunction, _as_points, _check_class, make_bump_family, multi_indices
+from .reduction import embed_bits
 
 __all__ = ["available_functions", "make_function", "peak_class_scale"]
 
@@ -66,7 +70,6 @@ def _make_sin1d(d: int, r: int, rho: float, rng) -> HolderFunction:
         seminorm_bound=bound,
         sup_bound=amp,
         known_max=amp,
-        name="sin1d",
     )
 
 
@@ -98,7 +101,6 @@ def _make_cosprod(d: int, r: int, rho: float, rng) -> HolderFunction:
         seminorm_bound=0.95,
         sup_bound=amp,
         known_max=amp,
-        name="cosprod",
     )
 
 
@@ -201,7 +203,6 @@ def _make_peak(d: int, r: int, rho: float, rng) -> HolderFunction:
         seminorm_bound=b * scale,
         sup_bound=1.0,
         known_max=m0,
-        name="peak",
     )
 
 
@@ -210,8 +211,7 @@ def _make_peak(d: int, r: int, rho: float, rng) -> HolderFunction:
 
 
 def _make_bumpfamily(d: int, r: int, rho: float, rng) -> HolderFunction:
-    family = make_bump_family(1, d, r, rho, height=None)
-    return family.member(0)
+    return embed_bits([1], make_bump_family(1, d, r, rho, height=None))
 
 
 _REGISTRY = {
@@ -233,10 +233,10 @@ def make_function(
     rho: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> HolderFunction:
-    """Instantiate a registered test function for the given class."""
+    """Instantiate a registered test function for the given class, named by its key."""
     _check_class(d, r, rho)
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown function {name!r}; known: {', '.join(available_functions())}")
-    return factory(d, r, rho, rng)
+    return replace(factory(d, r, rho, rng), name=name)

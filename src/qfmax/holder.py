@@ -15,10 +15,11 @@ polynomial evaluator, which also gives the certification kernel's bounds.
 Subdividing the cube into n^d congruent cells and modelling f around
 each cell center keeps the model error of order (1/n)^(r+rho) uniformly.
 
-The bump family turns bit strings into smooth functions: each bit owns one
-cell of an m-per-edge partition and contributes a compactly supported C^r
-bump, a product of the polynomial profile bump_profile, scaled so the family
-stays inside the unit ball of the class.
+The bump family is the layout through which reduction.embed_bits turns bit
+strings into smooth functions: each bit owns one cell of an m-per-edge
+partition and contributes a compactly supported C^r bump, a product of the
+polynomial profile bump_profile, scaled so the family stays inside the unit
+ball of the class.
 """
 
 from __future__ import annotations
@@ -420,6 +421,8 @@ class BumpFamily:
     with m^d >= n_bumps, one bump centered on each (centers, built at its
     first read); the other cells stay empty.  The support radius is
     slightly below half the cell width so supports keep a positive gap.
+    A family is a layout with no function of its own: reduction.embed_bits
+    turns any choice of its bumps into a HolderFunction.
     """
 
     n_bumps: int
@@ -444,29 +447,9 @@ class BumpFamily:
             out = out * bump_profile(u[:, k], self.r, a) / self.radius**a
         return out
 
-    def member(self, i: int) -> HolderFunction:
-        if not 0 <= i < self.n_bumps:
-            raise ValueError(f"member index {i} out of range")
-        fam = self
-
-        def deriv(alpha, pts, _i=i):
-            return fam.member_derivative(_i, alpha, pts)
-
-        declared = self.height / (self.kappa * self.radius ** (self.r + self.rho))
-        return HolderFunction(
-            d=self.d,
-            r=self.r,
-            rho=self.rho,
-            deriv=deriv,
-            seminorm_bound=declared,
-            sup_bound=self.height,
-            known_max=self.height,
-            name=f"bump[{i}]",
-        )
-
 
 def _sum_factor(n_bumps: int, rho: float) -> float:
-    """How far a sum of members can exceed one member's Holder quotient.
+    """How far a sum of bumps can exceed one bump's Holder quotient.
 
     A pair split across two supports is bounded through the boundary
     points between them: a^rho + b^rho <= 2^(1-rho) (a+b)^rho.  One bump
@@ -482,7 +465,7 @@ def make_bump_family(
 
     height=None picks 95 percent of the largest class-conforming height.
     Raises if the requested height exceeds kappa * radius^(r+rho), divided
-    by _sum_factor (a sum of members would leave the unit ball of the
+    by _sum_factor (a sum of bumps would leave the unit ball of the
     class), or 1 (sup bound).
     """
     if not isinstance(n_bumps, numbers.Integral) or n_bumps < 1:

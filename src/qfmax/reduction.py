@@ -13,13 +13,12 @@ maximization to accuracy epsilon inherits the matching lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .holder import BumpFamily, Grid, HolderFunction, _as_points, _sum_factor, make_bump_family
 from .maximizer import MaximizerParams, _solve_grid, quantum_maximize
-from .search import MaxResult
+from .search import MaxResult, SearchParams
 
 __all__ = ["embed_bits", "decision_rule", "or_trial"]
 
@@ -33,11 +32,13 @@ def _as_bits(bits) -> np.ndarray:
 
 
 def embed_bits(bits, family: BumpFamily) -> HolderFunction:
-    """Sum of the family members whose bit is set.
+    """Sum of the family's bumps whose bit is set: the one way bits become a class member.
 
-    Supports are pairwise disjoint, so at any point at most one member is
+    Supports are pairwise disjoint, so at any point at most one bump is
     nonzero; evaluation locates the covering cell and evaluates only that
-    member.  The exact maximum is family.height if any bit is set, else 0.
+    bump.  The declared seminorm is one bump's, height / (kappa *
+    radius^(r+rho)), times _sum_factor.  The exact maximum is
+    family.height if any bit is set, else 0.
     """
     active = _as_bits(bits)
     if active.ndim != 1 or active.size != family.n_bumps:
@@ -56,7 +57,8 @@ def embed_bits(bits, family: BumpFamily) -> HolderFunction:
             out[live] = family.member_derivative(idx[live], tuple(alpha), pts[live])
         return out
 
-    declared = _sum_factor(family.n_bumps, family.rho) * family.member(0).seminorm_bound
+    one_bump = family.height / (family.kappa * family.radius ** (family.r + family.rho))
+    declared = _sum_factor(family.n_bumps, family.rho) * one_bump
     return HolderFunction(
         d=d,
         r=family.r,
@@ -79,7 +81,7 @@ def decision_rule(value: float, epsilon1: float) -> int:
 def or_trial(
     bits,
     epsilon1: float | None,
-    params: MaximizerParams | None,
+    search: SearchParams | None,
     rng: np.random.Generator,
     d: int = 1,
     r: int = 0,
@@ -88,14 +90,13 @@ def or_trial(
     """One full OR-via-maximization run.
 
     epsilon1=None picks the largest class-conforming bump height for the
-    layout.  Unless params pins an accuracy or a grid size, the maximizer
-    runs at the coupled target epsilon = epsilon1 / 4.  Returns
-    (bit, maximizer result, epsilon1 used).
+    layout.  The maximizer always runs at epsilon = epsilon1 / 4, the
+    accuracy the decision window needs; search=None takes SearchParams().
+    Returns (bit, maximizer result, epsilon1 used).
     """
     bits = _as_bits(bits)
     family = make_bump_family(bits.size, d, r, rho, epsilon1)
-    if params is None or (params.epsilon is None and params.n_override is None):
-        params = replace(params or MaximizerParams(), epsilon=family.height / 4.0)
+    params = MaximizerParams(epsilon=family.height / 4.0, search=search or SearchParams())
     _solve_grid(params, d, r, rho)  # refuses an oversized grid before any bump is built
     res = quantum_maximize(embed_bits(bits, family), params, rng)
     return decision_rule(res.value, family.height), res, family.height

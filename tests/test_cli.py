@@ -69,6 +69,13 @@ def test_experiment_flags_are_its_reads_plus_out(descriptor):
     assert dests == set(EXPERIMENTS[descriptor].reads) | {"out"}
 
 
+@pytest.mark.parametrize("descriptor", EXPERIMENTS)
+def test_default_points_are_the_entrys_points(descriptor):
+    args = build_parser().parse_args([descriptor])
+    points = args.sizes if EXPERIMENTS[descriptor].x == "n" else args.eps_values
+    assert points == EXPERIMENTS[descriptor].points
+
+
 @pytest.mark.parametrize(
     "argv, flag, value",
     [
@@ -371,7 +378,7 @@ def test_grid_cap_refusal_is_short(capsys):
         (["holder-max", "--function", "peak", "--d", "2", "--rho", "1e-300", "--n", "4"], 2,
          "qfmax: error: rho 1e-300 is too small"),
         (["holder-max", "--function", "bumpfamily", "--rho", "1e-300", "--n", "4"], 0,
-         "function: bump[0] (d=1, r=0, rho=1e-300)"),
+         "function: bumpfamily (d=1, r=0, rho=1e-300)"),
         (["or-reduction", "--rho", "1e-300"], 2, "qfmax: error: epsilon"),
     ],
 )

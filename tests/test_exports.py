@@ -1,9 +1,12 @@
-"""Every exported name resolves, and deleted names stay unexported."""
+"""Every exported name resolves, and deleted names, methods and parameters stay deleted."""
 
 import importlib
+import inspect
 import pkgutil
 
 import qfmax
+from qfmax.holder import BumpFamily
+from qfmax.reduction import or_trial
 
 # names of the former second model form, folded into the tableau row, of the
 # former second value accessor, climb and minimum search, folded into
@@ -53,3 +56,11 @@ def test_every_exported_name_resolves_and_no_deleted_name_is_exported():
         for name in DELETED:
             assert name not in exported and not hasattr(module, name)
     assert set(qfmax.__all__) >= {"eval_taylor", "local_max_at", "taylor_tableau"}
+
+
+def test_deleted_methods_and_parameters_stay_deleted():
+    # bits become a function only through reduction.embed_bits
+    assert not hasattr(BumpFamily, "member")
+    # or_trial's accuracy is fixed at epsilon1 / 4: it takes search settings, not MaximizerParams
+    params = tuple(inspect.signature(or_trial).parameters)
+    assert params == ("bits", "epsilon1", "search", "rng", "d", "r", "rho")

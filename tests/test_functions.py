@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfmax.functions import available_functions, make_function, peak_class_scale
-from qfmax.holder import membership_check
+from qfmax.holder import make_bump_family, membership_check, multi_indices
 
 AMP_SIN = 1 / (2 * math.pi)
 
@@ -154,6 +154,28 @@ def test_bumpfamily_single_bump():
     assert f.known_max > 0.0
     assert f(np.array([[0.5]]))[0] == pytest.approx(f.known_max, abs=1e-15)
     assert membership_check(f, 20_000, np.random.default_rng(6)) <= 1.0
+
+
+@pytest.mark.parametrize("d,r", [(1, 0), (1, 2), (2, 1), (3, 2)])
+def test_bumpfamily_is_its_family_bump_bit_for_bit(d, r):
+    f = make_function("bumpfamily", d, r, 1.0)
+    fam = make_bump_family(1, d, r, 1.0, None)
+    center, radius, axis = fam.centers[0], fam.radius, np.eye(d)[0]
+    inside = [center, center + 0.5 * radius * axis, center + 0.3 * radius]
+    on = [center + radius * axis, center - radius * axis]
+    outside = [np.zeros(d), np.ones(d), center + 1.01 * radius * axis]
+    pts = np.array(inside + on + outside)
+    for alpha in multi_indices(d, r):
+        want = fam.member_derivative(0, alpha, pts)
+        assert f.partial(alpha, pts).tobytes() == want.tobytes()
+        assert (want[-len(outside):] == 0.0).all()
+    assert f.seminorm_bound == fam.height / (fam.kappa * fam.radius ** (r + 1.0))
+    assert f.sup_bound == f.known_max == fam.height
+
+
+@pytest.mark.parametrize("name", available_functions())
+def test_every_function_is_named_by_its_registry_key(name):
+    assert make_function(name, 1, 0, 1.0).name == name
 
 
 def test_instances_reproducible_under_seed():

@@ -30,6 +30,7 @@ from qfmax.holder import (
 from qfmax.holder import _SUPPORT_SHRINK
 from qfmax.maximizer import choose_n
 from qfmax.qcore import QueryLedger
+from qfmax.reduction import embed_bits
 
 # Frozen oracles.
 # Degree-2 model of sin(2*pi*t) at 0.5: f=0, f'=-2*pi, f''=0, so the model
@@ -421,7 +422,7 @@ def test_profile_refuses_an_order_outside_0_to_r_and_an_r_past_the_cap():
     fam = make_bump_family(2, 1, 2, 1.0, None)
     hand_built = dataclasses.replace(fam, r=21)
     with pytest.raises(ValueError, match="bump profile derivative of order 21"):
-        hand_built.member(0)(fam.centers[0])
+        embed_bits(np.arange(fam.n_bumps) == 0, hand_built)(fam.centers[0])
 
 
 def _exact_top_derivative(r, u):
@@ -510,7 +511,7 @@ def test_taylor_models_stop_where_the_factorial_overflows():
 
 def test_single_bump_with_requested_height():
     fam = make_bump_family(1, 1, 0, 0.1, 0.5)
-    f = fam.member(0)
+    f = embed_bits(np.arange(fam.n_bumps) == 0, fam)
     assert f(np.array([0.5])) == pytest.approx(0.5, abs=1e-15)
     assert f(np.array([0.0])) == 0.0
     assert f(np.array([1.0])) == 0.0
@@ -583,7 +584,7 @@ def test_bump_member_peaks_at_center():
     for (d, r, rho) in [(1, 0, 1.0), (1, 2, 1.0), (2, 1, 0.5)]:
         fam = make_bump_family(3, d, r, rho, None)
         for i in range(3):
-            f = fam.member(i)
+            f = embed_bits(np.arange(fam.n_bumps) == i, fam)
             assert f(fam.centers[i]) == pytest.approx(fam.height, abs=1e-15)
             assert f.known_max == pytest.approx(fam.height)
             off = np.clip(fam.centers[i] + 0.6 * fam.radius, 0, 1)
@@ -610,7 +611,7 @@ def test_calibrated_members_stay_in_class(d, r, rho):
     rng = np.random.default_rng(101)
     pairs = 100_000 if d == 1 else 30_000
     for i in range(2):
-        f = fam.member(i)
+        f = embed_bits(np.arange(fam.n_bumps) == i, fam)
         assert membership_check(f, pairs, rng) <= 1.0
         assert f.seminorm_bound <= 1.0
         assert f.sup_bound <= 1.0

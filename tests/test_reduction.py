@@ -9,7 +9,7 @@ from qfmax import reduction
 from qfmax.bench import fit_loglog_slope, trial_rng
 from qfmax.cli import main
 from qfmax.holder import Grid, make_bump_family, membership_check
-from qfmax.maximizer import MaximizerParams
+from qfmax.search import SearchParams
 from qfmax.reduction import decision_rule, embed_bits, or_trial
 
 
@@ -149,14 +149,14 @@ def test_or_explicit_height_and_params():
     height = 0.5 * min(1.0, fam.kappa * fam.radius ** (fam.r + fam.rho))
     rng = trial_rng(77, 0)
     bits = np.array([0, 0, 0, 1, 0, 0, 0, 0])
-    bit = or_trial(bits, height, MaximizerParams(), rng)[0]
+    bit = or_trial(bits, height, SearchParams(), rng)[0]
     assert bit == 1
 
 
 def test_or_query_scaling_sqrt_bits():
     # all-zero inputs always exhaust the budget, making the query count a
     # deterministic function of the bit count
-    params = MaximizerParams()
+    params = SearchParams()
     pts = []
     for n in (16, 64, 256, 1024):
         rng = trial_rng(88, n)
