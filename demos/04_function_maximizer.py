@@ -16,7 +16,7 @@ from qfmax import MaximizerParams, choose_n, make_function, quantum_maximize
 rng = np.random.default_rng(11)
 
 # -- a one-dimensional target with a known maximum ----------------------------
-f = make_function("sin1d", d=1, r=1, rho=1.0)
+f = make_function("cosprod", d=1, r=1, rho=1.0, rng=rng)
 print(f"target {f.name!r}: d={f.d}, r={f.r}, rho={f.rho}, "
       f"known max {f.known_max:.6f}")
 

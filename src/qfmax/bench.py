@@ -118,10 +118,14 @@ def binomial_margin(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
+def _check_seed(master_seed) -> None:
+    if not isinstance(master_seed, numbers.Integral) or master_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
+
+
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-trial generator from the master seed and a key path."""
-    if master_seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
+    _check_seed(master_seed)
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -177,6 +181,7 @@ class ExperimentSpec:
             )
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        _check_seed(self.master_seed)
         points = "sizes" if EXPERIMENTS[self.descriptor].x == "n" else "eps_values"
         if not getattr(self, points):
             raise ValueError(f"{self.descriptor} needs a non-empty {points} list")

@@ -3,14 +3,11 @@
 Each factory returns a HolderFunction for the requested (d, r, rho) with
 exact derivative evaluators, a declared seminorm bound, and the exact
 maximum recorded in known_max.  Passing a generator randomizes the free
-instance parameters (peak location, phase); without one the factories
-return a fixed canonical instance.
+instance parameters (the centre c, and peak's height); without one the
+factories return a fixed canonical instance.
 
 Families
 --------
-sin1d       (1/(2pi)) sin(2pi t + phase) on [0,1].  Smooth; its declared
-            seminorm bound exceeds 1 for most (r, rho), so it is not a
-            unit-ball class member, merely a convenient smooth target.
 cosprod     a * prod_k cos(2pi (t_k - c_k)), amplitude calibrated to keep
             the order-r derivatives rho-Holder with constant < 1.
 peak        M0 - b * ||t - c||_2^(r+rho), the critical-smoothness peak:
@@ -39,40 +36,6 @@ __all__ = ["available_functions", "make_function", "peak_class_scale"]
 _TWO_PI = 2.0 * math.pi
 
 
-def _two_pi_power(name: str, r: int) -> float:
-    if r > 386:  # (2 pi)^387 passes the largest double
-        raise ValueError(f"{name} needs r <= 386, got r={r}: (2 pi)^r overflows")
-    return _TWO_PI**r
-
-
-# ---------------------------------------------------------------------------
-# sin1d
-
-
-def _make_sin1d(d: int, r: int, rho: float, rng) -> HolderFunction:
-    if d != 1:
-        raise ValueError("sin1d is one-dimensional")
-    amp = 1.0 / _TWO_PI
-    phase = float(rng.uniform(0.0, _TWO_PI)) if rng is not None else 0.0
-
-    def deriv(alpha, pts):
-        pts = _as_points(pts, 1)
-        k = alpha[0]
-        return amp * _TWO_PI**k * np.sin(_TWO_PI * pts[:, 0] + phase + k * math.pi / 2.0)
-
-    # Holder quotient of sin is at most min(2, 2pi h) / h^rho <= 2 pi^rho.
-    bound = amp * _two_pi_power("sin1d", r) * 2.0 * math.pi**rho
-    return HolderFunction(
-        d=1,
-        r=r,
-        rho=rho,
-        deriv=deriv,
-        seminorm_bound=bound,
-        sup_bound=amp,
-        known_max=amp,
-    )
-
-
 # ---------------------------------------------------------------------------
 # cosprod
 
@@ -82,7 +45,9 @@ def _make_cosprod(d: int, r: int, rho: float, rng) -> HolderFunction:
         c = rng.uniform(0.25, 0.75, size=d)
     else:
         c = np.full(d, 0.5)
-    amp = 0.95 / (d * _two_pi_power("cosprod", r) * 2.0 * math.pi**rho)
+    if r > 386:  # (2 pi)^387 passes the largest double
+        raise ValueError(f"cosprod needs r <= 386, got r={r}: (2 pi)^r overflows")
+    amp = 0.95 / (d * _TWO_PI**r * 2.0 * math.pi**rho)
     if not amp > 0.0:  # the divisor can overflow where (2 pi)^r alone does not
         raise ValueError(f"cosprod amplitude underflows to 0 at d={d}, r={r}, rho={rho:g}")
 
@@ -215,7 +180,6 @@ def _make_bumpfamily(d: int, r: int, rho: float, rng) -> HolderFunction:
 
 
 _REGISTRY = {
-    "sin1d": _make_sin1d,
     "cosprod": _make_cosprod,
     "peak": _make_peak,
     "bumpfamily": _make_bumpfamily,

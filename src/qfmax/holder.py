@@ -507,8 +507,9 @@ def membership_check(
     """Worst sampled Holder quotient of the order-r derivatives.
 
     Samples a mix of far and near point pairs; class members never exceed
-    their declared seminorm bound.  Pure sampling, so the return value is
-    a lower estimate of the true seminorm.
+    their declared seminorm bound by more than the rounding of the nearest
+    pairs' quotients.  Pure sampling, so the return value is otherwise a
+    lower estimate of the true seminorm.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")

@@ -56,7 +56,7 @@ class MaximizerParams:
 
     Exactly one of epsilon (target accuracy, resolved through choose_n
     with the class's model-error constant default_h_conf) and n_override
-    (explicit subdivisions per axis) must be set before a solve.
+    (explicit subdivisions per axis) must be set.
     """
 
     epsilon: float | None = None
@@ -64,6 +64,8 @@ class MaximizerParams:
     search: SearchParams = field(default_factory=SearchParams)
 
     def __post_init__(self) -> None:
+        if self.epsilon is None and self.n_override is None:
+            raise ValueError("either epsilon or n_override must be set")
         if self.epsilon is not None and self.n_override is not None:
             raise ValueError("set one of epsilon and n_override, not both")
         if self.n_override is not None:
@@ -380,8 +382,6 @@ def _solve_grid(params: MaximizerParams, d: int, r: int, rho: float) -> Grid:
     """The grid a solve of a (d, r, rho) function at params runs on, refused past the cap."""
     if params.n_override is not None:
         return build_grid(int(params.n_override), d)
-    if params.epsilon is None:
-        raise ValueError("either epsilon or n_override must be set")
     return build_grid(choose_n(params.epsilon, d, r, rho), d)
 
 

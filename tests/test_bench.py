@@ -112,6 +112,15 @@ def test_spec_refuses_bad_counts_and_class_parameters(fields, message):
         ExperimentSpec("holder-error-vs-n", **fields)
 
 
+@pytest.mark.parametrize("seed", [1.7, -1, "x"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    # 1.7 would run seed 1's stream while its CSV rows recorded 1.7
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        trial_rng(seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ExperimentSpec("maxfind-success", sizes=(16,), trials=5, master_seed=seed)
+
+
 @pytest.mark.parametrize(
     "eps, message",
     [(0.0, "epsilon must be positive and finite, got 0.0"), (1e-300, "beyond the cap")],

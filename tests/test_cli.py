@@ -126,11 +126,11 @@ def test_readme_shows_every_experiment():
 def test_list_functions(capsys):
     code, out, _ = run_cli(["list-functions"], capsys)
     assert code == 0
-    assert out.split() == ["bumpfamily", "cosprod", "peak", "sin1d"]
+    assert out.split() == ["bumpfamily", "cosprod", "peak"]
 
 
 def test_holder_max_reports_result(capsys):
-    args = ["holder-max", "--function", "sin1d", "--r", "1", "--n", "16", "--seed", "3"]
+    args = ["holder-max", "--function", "cosprod", "--r", "1", "--n", "16", "--seed", "3"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert "max value:" in out
@@ -326,7 +326,8 @@ def test_node_cap_is_parameter_error(monkeypatch, capsys):
          "cosprod needs r <= 386"),
         (["holder-max", "--function", "cosprod", "--d", "10000", "--r", "300", "--eps", "0.1"],
          "epsilon 0.1 at r + rho = 301 needs a grid beyond the cap"),
-        (["holder-max", "--function", "sin1d", "--r", "387", "--n", "2"], "sin1d needs r <= 386"),
+        (["holder-max", "--function", "sine", "--n", "2"],
+         "unknown function 'sine'; known: bumpfamily, cosprod, peak\n"),
         # the whole line, so numpy's own message (it names intp) cannot show
         (["or-reduction", "--d", "63", "--n", "2", "--trials", "1"],
          "grid of 2^63 cells has more cells than numpy can index\n"),

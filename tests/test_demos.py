@@ -24,7 +24,7 @@ GOLDEN = {
     "01_grover_basics.py": "b5333d3f7482b33eafb7261bd161890e537cf47274588405502f26281ae26a26",
     "02_discrete_maximum.py": "b8e6b87d4b4b0f8a770291bec6860930c15f449150f60672fdea8ed6db0ecc30",
     "03_taylor_models.py": "a9559de2cc711f44e46755100dd6e043bb70ae84029356009fb6400ec5b84874",
-    "04_function_maximizer.py": "2b1450db26b65f025c348917cb150c097121d29af84b50b31dff2973bc39b443",
+    "04_function_maximizer.py": "49250df554d2203ccc8560bec8b5b818b5f20de835f66169818390ee7329a27a",
     "05_quantum_vs_classical_scaling.py":
         "0c877fea3d9da679018ab9b3bff1224a8cde40ad3259d7089804f02304031e40",
     "06_or_reduction.py": "09646ad09c8b5dbf36dc570b77b387e2ed6ed38e7000234fe1ee6acd632c1904",

@@ -14,7 +14,9 @@ from qfmax.reduction import or_trial
 # folded into one half width through _box_max, of the former quantile
 # record, now a float at theta = 1/4, of the former power table and
 # monomial sum, folded into eval_taylor, and of the former settable
-# model-error constant, config file reader and second experiment catalogue
+# model-error constant, config file reader and second experiment catalogue,
+# and of the former 1-D sine family, outside the class and the same sinusoid
+# as cosprod at d = 1, with the (2 pi)^r helper that cosprod took over
 DELETED = (
     "TaylorModel",
     "taylor_model",
@@ -40,6 +42,8 @@ DELETED = (
     "_add_class",
     "_int_list",
     "_float_list",
+    "_make_sin1d",
+    "_two_pi_power",
 )
 
 

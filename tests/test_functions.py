@@ -8,8 +8,6 @@ import pytest
 from qfmax.functions import available_functions, make_function, peak_class_scale
 from qfmax.holder import make_bump_family, membership_check, multi_indices
 
-AMP_SIN = 1 / (2 * math.pi)
-
 
 def finite_difference(f, alpha, pts, h=1e-6):
     """Central difference of the derivative one order below alpha."""
@@ -23,7 +21,7 @@ def finite_difference(f, alpha, pts, h=1e-6):
 
 
 def test_registry_names():
-    assert available_functions() == ("bumpfamily", "cosprod", "peak", "sin1d")
+    assert available_functions() == ("bumpfamily", "cosprod", "peak")
 
 
 def test_unknown_name_raises_with_catalog():
@@ -31,37 +29,27 @@ def test_unknown_name_raises_with_catalog():
         make_function("nope", 1, 0, 1.0)
 
 
-def test_sin1d_shape_and_max():
-    f = make_function("sin1d", 1, 1, 1.0)
-    assert f.known_max == pytest.approx(AMP_SIN)
-    t = np.linspace(0, 1, 2001)[:, None]
-    vals = f(t)
-    assert vals.max() == pytest.approx(AMP_SIN, abs=1e-7)
-    assert f.sup_bound <= 1.0
-    assert make_function("sin1d", 1, 1, 1.0, rng=None)(np.array([[0.25]]))[0] == pytest.approx(
-        AMP_SIN, abs=1e-12
-    )
+# one (d, r, rho) per registered name; every name must be listed here
+CLASS_MEMBER_CASES = {
+    "bumpfamily": (1, 1, 1.0),
+    "cosprod": (1, 1, 1.0),
+    "peak": (1, 1, 1.0),
+}
 
 
-def test_sin1d_rejects_higher_dimension():
-    with pytest.raises(ValueError):
-        make_function("sin1d", 2, 1, 1.0)
+def test_class_member_cases_cover_the_catalogue():
+    assert sorted(CLASS_MEMBER_CASES) == list(available_functions())
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_sin1d_derivatives_match_finite_differences(r):
-    f = make_function("sin1d", 1, r, 1.0, rng=np.random.default_rng(5))
-    pts = np.linspace(0.05, 0.95, 37)[:, None]
-    for order in range(1, r + 1):
-        fd = finite_difference(f, (order,), pts)
-        np.testing.assert_allclose(f.deriv((order,), pts), fd, atol=1e-5, rtol=1e-4)
-
-
-def test_sin1d_declared_seminorm_is_honest():
-    for r, rho in [(0, 1.0), (1, 0.5), (2, 1.0)]:
-        f = make_function("sin1d", 1, r, rho, rng=np.random.default_rng(3))
-        q = membership_check(f, 40_000, np.random.default_rng(8))
-        assert q <= f.seminorm_bound * (1 + 1e-9)
+@pytest.mark.parametrize("name", available_functions())
+def test_every_registered_function_is_a_class_member(name):
+    d, r, rho = CLASS_MEMBER_CASES[name]
+    f = make_function(name, d, r, rho, rng=np.random.default_rng(12))
+    assert f.seminorm_bound <= 1.0
+    q = membership_check(f, 40_000, np.random.default_rng(13))
+    # peak's quotient attains its bound at r = rho = 1, and near pairs as close
+    # as 1e-9 carry rounding of about 1e-7 relative in the derivative difference
+    assert q <= f.seminorm_bound * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -110,14 +98,13 @@ def test_peak_is_class_member(d, r, rho):
     assert q <= 1.0
 
 
-@pytest.mark.parametrize("name", ["sin1d", "cosprod"])
-def test_two_pi_scaled_families_stop_where_the_power_overflows(name):
-    # both scale by (2 pi)^r, the largest double lies between orders 386 and 387;
-    # cosprod's amplitude divides by a further 2 pi d, so it stops one order earlier
-    f = make_function(name, 1, 386 if name == "sin1d" else 385, 1.0)
+def test_two_pi_scaled_families_stop_where_the_power_overflows():
+    # cosprod scales by (2 pi)^r, and the largest double lies between orders 386 and 387;
+    # its amplitude divides by a further 2 pi d, so it stops one order earlier
+    f = make_function("cosprod", 1, 385, 1.0)
     assert math.isfinite(f.seminorm_bound) and 0.0 < f.sup_bound < math.inf
     with pytest.raises(ValueError, match="r <= 386"):
-        make_function(name, 1, 387, 1.0)
+        make_function("cosprod", 1, 387, 1.0)
 
 
 @pytest.mark.parametrize("d,r", [(1, 386), (2, 385), (64, 383)])

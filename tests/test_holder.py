@@ -359,7 +359,7 @@ def per_cell_remainder_ratio(f, grid, samples, rng):
         ("cosprod", 1, 4),
         ("peak", 2, 1),
         ("peak", 1, 2),
-        ("sin1d", 1, 3),
+        ("cosprod", 1, 3),
         ("bumpfamily", 2, 2),
     ],
 )

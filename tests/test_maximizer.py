@@ -584,7 +584,6 @@ def test_node_cap_applies_per_row(monkeypatch):
 _LAZY_TABLE_CASES = (
     [("cosprod", d, r) for d in (1, 2, 3) for r in range(4)]
     + [("peak", d, r) for d in (1, 2, 3) for r in range(3)]
-    + [("sin1d", 1, r) for r in range(4)]
 )
 
 
@@ -674,7 +673,7 @@ def test_sine_error_bound_frequency():
     # error within G h^2 of the true maximum at least 3/4 of the time;
     # G calibrated from the observed remainder ratio plus the local slack
     n, trials = 32, 400
-    f = make_function("sin1d", 1, 1, 1.0)
+    f = make_function("cosprod", 1, 1, 1.0)
     grid = build_grid(n, 1)
     ratio = remainder_bound_check(f, grid, 20_000, rng=np.random.default_rng(0))
     bound = (ratio + 1.0) * grid.h**2 * 1.05
